@@ -501,11 +501,10 @@ def _cmd_bench(args) -> int:
     unknown = [m for m in methods if m not in METHOD_NAMES]
     if unknown:
         raise UsageError(f"unknown method name(s): {', '.join(unknown)}")
-    file_cfg: dict[str, str] = {}
+    file_cfg = _parse_config_file(args.config, set(_CLEAN_KEYS)) if args.config else {}
     config = _clean_config(args, file_cfg)
     results = run_benchmark(
-        methods, grid, args.replicates, args.seed if args.seed is not None else 0,
-        config=config, workers=_workers(),
+        methods, grid, args.replicates, config.emd.seed, config=config, workers=_workers(),
     )
     _atomic_write(args.out, bench_table(results, timing=args.timing))
     return 0

@@ -9,14 +9,22 @@ IMFs index by index, which stabilises mode mixing on noisy recordings.
 
 Envelopes are natural cubic splines through the local extrema, with the
 two extrema nearest each endpoint mirrored across it to suppress end
-swings.  Sifting stops once the extrema/zero-crossing counts differ by at
-most one for ``s_number`` consecutive iterations (S-stoppage).
+swings.  Each sift iteration fits the upper and lower envelope together:
+one tridiagonal solve for both knot sets and one evaluation pass, with
+results identical to fitting them one at a time.  Sifting stops once the
+extrema/zero-crossing counts differ by at most one for ``s_number``
+consecutive iterations (S-stoppage).
+
+The ensemble keeps one running sum per IMF index instead of every
+trial's IMFs, so with one worker its memory is O(width * n) for ``width``
+IMFs of length ``n``, whatever the ensemble size.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,60 +159,20 @@ def find_extrema(series) -> tuple[np.ndarray, np.ndarray]:
     x = _as_1d_float(series)
     if x.size < 3:
         raise ValueError("series too short: extrema detection needs at least 3 samples")
-    d = np.diff(x)
-    nz = np.flatnonzero(d)
-    if nz.size < 2:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty
-    s = np.sign(d[nz])
-    flips = np.flatnonzero(s[:-1] != s[1:])
-    lefts = nz[flips] + 1
-    rights = nz[flips + 1]
-    mids = ((lefts + rights) // 2).astype(np.intp)
-    rising = s[flips] > 0
-    return mids[rising], mids[~rising]
+    d = x[1:] - x[:-1]
+    # compare directions across flat runs and report each run's midpoint
+    nz = d.nonzero()[0]
+    up = (d > 0)[nz]
+    flips = (up[:-1] != up[1:]).nonzero()[0]
+    mids = (nz[flips] + 1 + nz[flips + 1]) // 2
+    # direction flips alternate, so maxima and minima interleave
+    first = 0 if mids.size and up[flips[0]] else 1
+    return mids[first::2], mids[1 - first :: 2]
 
 
 def _zero_crossings(x: np.ndarray) -> int:
-    s = np.sign(x)
-    s = s[s != 0]
-    if s.size < 2:
-        return 0
-    return int(np.count_nonzero(s[:-1] != s[1:]))
-
-
-def _spline_second_derivs(xk: np.ndarray, yk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Knot second derivatives of the natural cubic spline (plus h, dy)."""
-    n = xk.size
-    h = np.diff(xk)
-    dy = np.diff(yk) / h
-    diag = np.empty(n)
-    diag[0] = 1.0
-    diag[-1] = 1.0
-    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
-    upper = np.zeros(n - 1)
-    upper[1:] = h[1:]
-    lower = np.zeros(n - 1)
-    lower[:-1] = h[:-1]
-    rhs = np.zeros(n)
-    rhs[1:-1] = 6.0 * (dy[1:] - dy[:-1])
-    _, _, _, m, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
-    if info != 0:
-        raise ArithmeticError("tridiagonal spline solve failed")
-    return m, h, dy
-
-
-def _natural_spline(xk: np.ndarray, yk: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Evaluate the natural cubic spline through ``(xk, yk)`` at ``xq``."""
-    n = xk.size
-    m, h, dy = _spline_second_derivs(xk, yk)
-    i = np.clip(np.searchsorted(xk, xq, side="right") - 1, 0, n - 2)
-    t = xq - xk[i]
-    hi = h[i]
-    a3 = (m[i + 1] - m[i]) / (6.0 * hi)
-    a2 = m[i] / 2.0
-    a1 = dy[i] - hi * (2.0 * m[i] + m[i + 1]) / 6.0
-    return yk[i] + t * (a1 + t * (a2 + t * a3))
+    positive = (x > 0)[x != 0]
+    return int(np.count_nonzero(positive[:-1] != positive[1:]))
 
 
 _GRID_CACHE: dict[int, np.ndarray] = {}
@@ -220,40 +188,83 @@ def _query_grid(n: int) -> np.ndarray:
     return grid
 
 
-def _integer_grid_spline(xk: np.ndarray, yk: np.ndarray, n_query: int) -> np.ndarray:
-    """Natural spline evaluated at 0..n_query-1 for integer-valued knots."""
-    m, h, dy = _spline_second_derivs(xk, yk)
-    a0 = yk[:-1]
-    a1 = dy - h * (2.0 * m[:-1] + m[1:]) / 6.0
-    a2 = 0.5 * m[:-1]
-    a3 = (m[1:] - m[:-1]) / (6.0 * h)
-    edges = np.clip(xk.astype(np.intp), 0, n_query)
-    i = np.repeat(np.arange(xk.size - 1), np.diff(edges))
-    t = _query_grid(n_query) - xk[i]
-    return a0[i] + t * (a1[i] + t * (a2[i] + t * a3[i]))
-
-
 def _envelope_from_extrema(x: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.ndarray:
-    end = x.size - 1
+    """Mean of the natural-spline envelopes through ``maxima`` and ``minima``.
 
-    def fit(ext: np.ndarray) -> np.ndarray:
-        # mirror the two nearest extrema across each endpoint
-        k = ext.size
-        pos = np.empty(k + 4, dtype=float)
-        pos[0] = -ext[1]
-        pos[1] = -ext[0]
-        pos[2:-2] = ext
-        pos[-2] = 2 * end - ext[-1]
-        pos[-1] = 2 * end - ext[-2]
-        vals = np.empty(k + 4)
-        vals[0] = x[ext[1]]
-        vals[1] = x[ext[0]]
-        vals[2:-2] = x[ext]
-        vals[-2] = x[ext[-1]]
-        vals[-1] = x[ext[-2]]
-        return _integer_grid_spline(pos, vals, x.size)
+    Each envelope's knots are its extrema plus the two nearest mirrored
+    across each endpoint.  Both knot sets go into one tridiagonal system,
+    the lower one shifted by ``n`` so that one grid ``0..2n-1`` evaluates
+    both.  The natural end rows leave exact zeros where the blocks meet,
+    so elimination never mixes them and every value matches fitting the
+    envelopes one at a time, bit for bit.
+    """
+    n = x.size
+    end = n - 1
+    k_up = maxima.size + 4
+    size = k_up + minima.size + 4
+    b = k_up - 1  # last knot of the upper block; b + 1 starts the lower one
+    u0, u1, u2, u3 = maxima[[0, 1, -2, -1]].tolist()
+    l0, l1, l2, l3 = minima[[0, 1, -2, -1]].tolist()
+    src = np.empty(size, dtype=np.intp)
+    src[2 : b - 1] = maxima
+    src[b + 3 : -2] = minima
+    src[[0, 1, b - 1, b, b + 1, b + 2, -2, -1]] = (u1, u0, u3, u2, l1, l0, l3, l2)
+    vals = x[src]
+    pos = src.astype(float)
+    pos[b + 3 : -2] += n
+    pos[[0, 1, b - 1, b, b + 1, b + 2, -2, -1]] = (
+        -u1, -u0, 2 * end - u3, 2 * end - u2,
+        n - l1, n - l0, n + 2 * end - l3, n + 2 * end - l2,
+    )
 
-    return 0.5 * (fit(maxima) + fit(minima))
+    # natural cubic spline second derivatives m, both blocks in one solve
+    # h[b] spans the block boundary (always negative, never zero); every
+    # entry it feeds is overwritten below or belongs to an empty segment
+    h = pos[1:] - pos[:-1]
+    dy = vals[1:] - vals[:-1]
+    dy /= h
+    diag = np.empty(size)
+    np.add(h[:-1], h[1:], out=diag[1:-1])
+    diag[1:-1] *= 2.0
+    diag[0] = diag[b] = diag[b + 1] = diag[-1] = 1.0
+    upper = h.copy()
+    upper[0] = upper[b] = upper[b + 1] = 0.0
+    lower = h.copy()
+    lower[b - 1] = lower[b] = lower[-1] = 0.0
+    rhs = np.empty(size)
+    np.subtract(dy[1:], dy[:-1], out=rhs[1:-1])
+    rhs[1:-1] *= 6.0
+    rhs[0] = rhs[b] = rhs[b + 1] = rhs[-1] = 0.0
+    _, _, _, m, info = dgtsv(lower, diag, upper, rhs, 1, 1, 1, 1)
+    if info != 0:
+        raise ArithmeticError("tridiagonal spline solve failed")
+
+    # segment j runs from knot j to j + 1: cubic a0 + t*(a1 + t*(a2 + t*a3))
+    a1 = m[:-1] * 2.0
+    a1 += m[1:]
+    a1 *= h
+    a1 /= 6.0
+    np.subtract(dy, a1, out=a1)
+    a2 = m[:-1] * 0.5
+    a3 = m[1:] - m[:-1]
+    a3 /= h * 6.0
+
+    # grid points per segment: none left of 0, right of n - 1 or across blocks
+    counts = np.zeros(size - 1, dtype=np.intp)
+    np.subtract(maxima[1:], maxima[:-1], out=counts[2 : b - 2])
+    np.subtract(minima[1:], minima[:-1], out=counts[b + 3 : -2])
+    counts[[1, b - 2, b + 2, -2]] = (u0, n - u3, l0, n - l3)
+    t = _query_grid(2 * n) - pos[:-1].repeat(counts)
+    env = a3.repeat(counts)
+    env *= t
+    env += a2.repeat(counts)
+    env *= t
+    env += a1.repeat(counts)
+    env *= t
+    env += vals[:-1].repeat(counts)
+    mean = env[:n] + env[n:]
+    mean *= 0.5
+    return mean
 
 
 def envelope_mean(series) -> np.ndarray:
@@ -357,10 +368,18 @@ def eemd(series, config: EmdConfig | None = None, workers: int = 1) -> Decomposi
     Each trial adds white Gaussian noise with standard deviation
     ``noise_amplitude * std(series)`` drawn from an RNG stream derived
     from ``(seed, trial index)``, so results are reproducible under any
-    scheduling.  IMFs are averaged index by index across trials; trials
-    that produced fewer IMFs contribute zeros at the missing indices.
-    The residual closes the decomposition: it is the input minus the
-    ensembled IMFs, so the additive identity is preserved exactly.
+    scheduling.  IMFs are averaged index by index across trials (Wu &
+    Huang 2009); trials that produced fewer IMFs contribute zeros at the
+    missing indices.  The residual closes the decomposition: it is the
+    input minus the ensembled IMFs, so the additive identity is preserved
+    exactly.
+
+    Trials are added into per-index running sums in trial order (the
+    thread pool's results are taken in order too), so the mean matches
+    averaging a zero-padded (trials, width, n) stack bit for bit.  With
+    ``workers=1`` memory is O(width * n) for any ``ensemble_size``; with
+    a pool, trials that finish ahead of the slowest unconsumed one wait
+    in memory until it is added, so the worst case is O(K * width * n).
     """
     config = config or EmdConfig()
     ts = _coerce_series(series)
@@ -374,46 +393,46 @@ def eemd(series, config: EmdConfig | None = None, workers: int = 1) -> Decomposi
         noisy = x + rng.normal(0.0, scale, x.size)
         return emd(TimeSeries(noisy, ts.dt), config)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(run_trial, range(config.ensemble_size)))
-    else:
-        trials = [run_trial(k) for k in range(config.ensemble_size)]
+    # per-index running sums in trial order: the same additions, in the same
+    # order, as a mean over a zero-padded (trials, width, n) stack
+    sums: list[np.ndarray] = []
+    truncated: list[bool] = []
+    widths: list[int] = []
+    truncations = 0
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        for trial in (pool.map if pool else map)(run_trial, range(config.ensemble_size)):
+            widths.append(trial.n_imfs)
+            for j, imf in enumerate(trial.imfs):
+                if j == len(sums):
+                    sums.append(np.zeros(x.size))
+                    truncated.append(False)
+                sums[j] += imf.samples
+                truncated[j] = truncated[j] or imf.truncated
+                truncations += imf.truncated
 
-    width = max(t.n_imfs for t in trials)
+    width = len(sums)
     diagnostics: list[str] = []
-    short = sum(1 for t in trials if t.n_imfs < width)
+    short = sum(1 for w in widths if w < width)
     if short:
         diagnostics.append(
             f"{short} of {config.ensemble_size} trials produced fewer than "
             f"{width} imfs; missing entries averaged as zeros"
         )
-    truncations = sum(1 for t in trials for imf in t.imfs if imf.truncated)
     if truncations:
         diagnostics.append(f"{truncations} trial imfs hit max_sift_iters during sifting")
 
     if width == 0:
         return Decomposition((), x.copy(), x.size, tuple(diagnostics))
 
-    stack = np.zeros((config.ensemble_size, width, x.size))
-    for k, trial in enumerate(trials):
-        for j, imf in enumerate(trial.imfs):
-            stack[k, j] = imf.samples
-    mean = stack.mean(axis=0)
-
-    imfs = tuple(
-        Imf(
-            samples=mean[j],
-            index=j + 1,
-            truncated=any(t.n_imfs > j and t.imfs[j].truncated for t in trials),
-        )
-        for j in range(width)
-    )
+    imfs = []
     # subtract sequentially so a degenerate ensemble matches emd() bit for bit
     residual = x.copy()
     for j in range(width):
-        residual = residual - mean[j]
-    return Decomposition(imfs, residual, x.size, tuple(diagnostics))
+        mean = sums[j] / config.ensemble_size
+        imfs.append(Imf(samples=mean, index=j + 1, truncated=truncated[j]))
+        residual = residual - mean
+    return Decomposition(tuple(imfs), residual, x.size, tuple(diagnostics))
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:

@@ -216,6 +216,29 @@ class TestBench:
         assert run_cli("bench", "--grid", str(grid), "--methods", "lcdsc,bogus",
                        "--out", str(tmp_path / "c.csv")) == 1
 
+    @pytest.mark.parametrize("command", ["bench", "compare"])
+    @pytest.mark.parametrize("config", ["gamma = banana\n", "wavelength = 3\n"],
+                             ids=["bad_value", "unknown_key"])
+    def test_config_error_is_usage_error(self, tmp_path, command, config):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("T = 400\nsigma = 0.3\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert run_cli(command, "--grid", str(grid), "--methods", "none",
+                       "--config", str(cfg), "--out", str(tmp_path / "c.csv")) == 1
+
+    def test_config_values_match_flags(self, tmp_path):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("T = 400\nsigma = 0.3\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ensemble_size = 2\nseed = 5\ngamma = 2\n")
+        common = ("bench", "--grid", str(grid), "--methods", "lcdsc,khigh", "--replicates", "1")
+        by_file, by_flags = tmp_path / "f.csv", tmp_path / "g.csv"
+        assert run_cli(*common, "--config", str(cfg), "--out", str(by_file)) == 0
+        assert run_cli(*common, "--ensemble-size", "2", "--seed", "5", "--gamma", "2",
+                       "--out", str(by_flags)) == 0
+        assert read(by_file) == read(by_flags)
+
     def test_unknown_grid_key(self, tmp_path):
         grid = tmp_path / "grid.cfg"
         grid.write_text("T = 400\nwavelength = 3\n")

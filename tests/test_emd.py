@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from lcdsc import (
     Decomposition,
@@ -15,7 +18,7 @@ from lcdsc import (
     reconstruct,
     sift,
 )
-from lcdsc.emd import _zero_crossings
+from lcdsc.emd import _envelope_from_extrema, _zero_crossings
 
 
 def bitwise_equal(a: Decomposition, b: Decomposition) -> bool:
@@ -72,6 +75,90 @@ class TestFindExtrema:
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             find_extrema([1, 2])
+
+
+def natural_spline_on_grid(xk, yk, n_query):
+    """One natural cubic spline through integer knots, evaluated at 0..n_query-1."""
+    k = xk.size
+    h = np.diff(xk)
+    dy = np.diff(yk) / h
+    diag = np.empty(k)
+    diag[0] = diag[-1] = 1.0
+    diag[1:-1] = 2.0 * (h[:-1] + h[1:])
+    upper = np.zeros(k - 1)
+    upper[1:] = h[1:]
+    lower = np.zeros(k - 1)
+    lower[:-1] = h[:-1]
+    rhs = np.zeros(k)
+    rhs[1:-1] = 6.0 * (dy[1:] - dy[:-1])
+    _, _, _, m, info = dgtsv(lower, diag, upper, rhs)
+    assert info == 0
+    a1 = dy - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    a2 = 0.5 * m[:-1]
+    a3 = (m[1:] - m[:-1]) / (6.0 * h)
+    i = np.repeat(np.arange(k - 1), np.diff(np.clip(xk.astype(np.intp), 0, n_query)))
+    t = np.arange(n_query, dtype=float) - xk[i]
+    return yk[:-1][i] + t * (a1[i] + t * (a2[i] + t * a3[i]))
+
+
+def two_spline_envelope_mean(x, maxima, minima):
+    """Reference: fit the upper and lower envelopes one at a time."""
+    end = x.size - 1
+
+    def fit(ext):
+        knots = np.concatenate(([ext[1], ext[0]], ext, [ext[-1], ext[-2]]))
+        pos = knots.astype(float)
+        pos[:2] = -pos[:2]
+        pos[-2:] = 2 * end - pos[-2:]
+        return natural_spline_on_grid(pos, x[knots], x.size)
+
+    return 0.5 * (fit(maxima) + fit(minima))
+
+
+class TestFusedEnvelope:
+    def check(self, x, maxima, minima):
+        got = _envelope_from_extrema(x, np.asarray(maxima), np.asarray(minima))
+        want = two_spline_envelope_mean(x, np.asarray(maxima), np.asarray(minima))
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_extrema_sets(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(6, 2000))
+            x = rng.normal(0, 1, n) * 10.0 ** rng.uniform(-3, 3)
+            interior = np.arange(1, n - 1)
+            maxima = np.sort(rng.choice(interior, int(rng.integers(2, min(n - 2, 60) + 1)), replace=False))
+            minima = np.sort(rng.choice(interior, int(rng.integers(2, min(n - 2, 60) + 1)), replace=False))
+            self.check(x, maxima, minima)
+
+    def test_extrema_of_noise(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            x = rng.normal(0, 1, int(rng.integers(20, 3000)))
+            self.check(x, *find_extrema(x))
+
+    def test_exactly_two_of_each(self):
+        x = np.sin(2 * np.pi * np.arange(40) / 19)
+        maxima, minima = find_extrema(x)
+        assert maxima.size == 2 and minima.size == 2
+        self.check(x, maxima, minima)
+        self.check(np.random.default_rng(23).normal(0, 1, 30), [4, 20], [9, 13])
+
+    def test_extrema_next_to_the_endpoints(self):
+        rng = np.random.default_rng(24)
+        for n in (6, 7, 50, 501):
+            x = rng.normal(0, 1, n)
+            self.check(x, [1, n - 2], [2, n - 3])
+            self.check(x, [1, n - 3], [2, n - 2])
+            self.check(x, [1, 2, n - 3, n - 2], [1, n - 2])
+
+    def test_flat_runs(self):
+        rng = np.random.default_rng(25)
+        for _ in range(100):
+            x = np.round(rng.normal(0, 1.5, int(rng.integers(12, 600))))
+            maxima, minima = find_extrema(x)
+            if maxima.size >= 2 and minima.size >= 2:
+                self.check(x, maxima, minima)
 
 
 class TestEnvelopeMean:
@@ -216,6 +303,71 @@ class TestEemd:
         d = eemd(x, EmdConfig(ensemble_size=4, seed=2))
         err = np.max(np.abs(x - reconstruct(d)))
         assert err < 1e-9 * (x.max() - x.min())
+
+
+def stacked_mean_eemd(x, cfg):
+    """Reference ensemble: keep every trial and average a zero-padded stack."""
+    scale = cfg.noise_amplitude * float(np.std(x))
+    trials = []
+    for k in range(cfg.ensemble_size):
+        rng = np.random.default_rng([cfg.seed & (2**64 - 1), k])
+        trials.append(emd(TimeSeries(x + rng.normal(0.0, scale, x.size)), cfg))
+    width = max(t.n_imfs for t in trials)
+    stack = np.zeros((cfg.ensemble_size, width, x.size))
+    for k, trial in enumerate(trials):
+        for j, imf in enumerate(trial.imfs):
+            stack[k, j] = imf.samples
+    mean = stack.mean(axis=0)
+    truncated = [any(t.n_imfs > j and t.imfs[j].truncated for t in trials) for j in range(width)]
+    residual = x.copy()
+    for j in range(width):
+        residual = residual - mean[j]
+    short = sum(1 for t in trials if t.n_imfs < width)
+    truncations = sum(1 for t in trials for imf in t.imfs if imf.truncated)
+    return mean, truncated, residual, short, truncations
+
+
+class TestStreamingEnsemble:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_matches_stacked_mean_bitwise(self, workers):
+        seen = {"short": 0, "truncated": set()}
+        for seed, n, iters in ((0, 150, 3), (5, 150, 50), (8, 257, 6), (11, 90, 50)):
+            x = np.random.default_rng(seed).normal(0, 1, n)
+            cfg = EmdConfig(ensemble_size=7, max_sift_iters=iters, seed=seed)
+            mean, truncated, residual, short, truncations = stacked_mean_eemd(x, cfg)
+            d = eemd(x, cfg, workers=workers)
+            assert d.n_imfs == mean.shape[0]
+            for j, imf in enumerate(d.imfs):
+                assert imf.samples.tobytes() == mean[j].tobytes()
+                assert imf.truncated == truncated[j]
+            assert d.residual.tobytes() == residual.tobytes()
+            want = []
+            if short:
+                want.append(f"{short} of 7 trials produced fewer than {mean.shape[0]} imfs; "
+                            "missing entries averaged as zeros")
+            if truncations:
+                want.append(f"{truncations} trial imfs hit max_sift_iters during sifting")
+            assert d.diagnostics == tuple(want)
+            seen["short"] += short
+            seen["truncated"].update(truncated)
+        # the cases cover short trials and both truncation flags
+        assert seen["short"] > 0 and seen["truncated"] == {False, True}
+
+    def test_memory_does_not_grow_with_ensemble_size(self):
+        from lcdsc import LocalSignalSpec, local_doppler
+
+        noisy, _, _ = local_doppler(LocalSignalSpec(2500, 1000, 1500, 0.2, seed=3))
+
+        def peak(size):
+            eemd(noisy, EmdConfig(ensemble_size=1, seed=3))  # warm caches outside the window
+            tracemalloc.start()
+            try:
+                eemd(noisy, EmdConfig(ensemble_size=size, seed=3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(100) < 2 * peak(4)
 
 
 class TestReconstruct:

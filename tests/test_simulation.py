@@ -205,6 +205,26 @@ class TestRunBenchmark:
         assert fields[0] == "400" and fields[3] == "none"
         assert fields[6] == "0"  # timing disabled by default
 
+    def test_seconds_include_the_shared_decomposition(self, monkeypatch):
+        import time
+
+        import lcdsc.simulation as simulation
+
+        real_eemd = simulation.eemd
+
+        def slow_eemd(*args, **kwargs):
+            time.sleep(0.05)
+            return real_eemd(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "eemd", slow_eemd)
+        results = run_benchmark(
+            ["none", "lcdsc", "khigh", "wht"], [(400, 0.3, 0.25)], replicates=1,
+            base_seed=2, config=LcdscConfig(emd=EmdConfig(ensemble_size=2)),
+        )
+        seconds = {r.method: r.seconds for r in results}
+        assert seconds["none"] < 0.05
+        assert all(seconds[m] >= 0.05 for m in ("lcdsc", "khigh", "wht"))
+
     def test_canonical_ordering(self):
         config = LcdscConfig(emd=EmdConfig(ensemble_size=2))
         results = run_benchmark(
