@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
@@ -254,55 +253,6 @@ def _parse_config_file(path: str, allowed: set[str]) -> dict[str, str]:
     return out
 
 
-_EMD_KEYS = ("s_number", "max_sift_iters", "max_imfs", "ensemble_size", "noise_amplitude", "seed")
-_CLEAN_KEYS = _EMD_KEYS + (
-    "gamma",
-    "alpha",
-    "penalty",
-    "beta",
-    "minseg",
-    "include_residual",
-    "penalty_scale",
-)
-
-
-def _add_emd_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--s-number", type=int, default=None, help="S-stoppage count (default 4)")
-    parser.add_argument("--max-sift-iters", type=int, default=None, help="sifting iteration cap (default 50)")
-    parser.add_argument("--max-imfs", default=None, help="IMF cap, integer or 'auto' (default auto)")
-    parser.add_argument("--ensemble-size", type=int, default=None, help="ensemble trials (default 100)")
-    parser.add_argument("--noise-amplitude", type=float, default=None,
-                        help="trial noise sd as a fraction of the signal sd (default 0.2)")
-    parser.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-
-
-def _add_clean_flags(parser: argparse.ArgumentParser) -> None:
-    _add_emd_flags(parser)
-    parser.add_argument("--gamma", type=float, default=None, help="variance-ratio gate, >= 1 (default 1)")
-    parser.add_argument("--alpha", type=float, default=None, help="family-wise error rate (default 0.05)")
-    parser.add_argument("--penalty", choices=("aic", "bic", "mbic"), default=None,
-                        help="change-point penalty (default mbic)")
-    parser.add_argument("--beta", type=float, default=None, help="aic penalty per change point")
-    parser.add_argument("--minseg", type=int, default=None,
-                        help="minimum segment length in amplitude cycles (default 5)")
-    parser.add_argument("--penalty-scale", type=float, default=None,
-                        help="penalty multiplier for correlated amplitudes (default 2.0)")
-    parser.add_argument("--include-residual", action="store_true", default=None,
-                        help="add the decomposition residual to the cleaned output")
-    parser.add_argument("--config", default=None, help="key = value config file; flags take precedence")
-
-
-def _merge(flag_value, file_cfg: dict[str, str], key: str, parse, default):
-    if flag_value is not None:
-        return flag_value
-    if key in file_cfg:
-        try:
-            return parse(file_cfg[key])
-        except ValueError:
-            raise UsageError(f"config key {key!r}: cannot parse {file_cfg[key]!r}") from None
-    return default
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -318,41 +268,94 @@ def _parse_max_imfs(text: str):
     return int(text)
 
 
+# config keys and their parsers; each flag is its key with dashes
+_EMD_KEYS = {
+    "s_number": int,
+    "max_sift_iters": int,
+    "max_imfs": _parse_max_imfs,
+    "ensemble_size": int,
+    "noise_amplitude": float,
+    "seed": int,
+}
+_LCDSC_KEYS = {
+    "gamma": float,
+    "alpha": float,
+    "penalty": str,
+    "beta": float,
+    "minseg": int,
+    "include_residual": _parse_bool,
+    "penalty_scale": float,
+}
+_CLEAN_KEYS = {**_EMD_KEYS, **_LCDSC_KEYS}
+
+
+def _add_emd_flags(parser: argparse.ArgumentParser) -> None:
+    d = EmdConfig()
+    parser.add_argument("--s-number", help=f"S-stoppage count (default {d.s_number})")
+    parser.add_argument("--max-sift-iters",
+                        help=f"sifting iteration cap (default {d.max_sift_iters})")
+    parser.add_argument("--max-imfs", help="IMF cap, integer or 'auto' (default auto)")
+    parser.add_argument("--ensemble-size", help=f"ensemble trials (default {d.ensemble_size})")
+    parser.add_argument("--noise-amplitude", help="trial noise sd as a fraction of the signal sd "
+                        f"(default {d.noise_amplitude})")
+    parser.add_argument("--seed", help=f"random seed (default {d.seed})")
+
+
+def _add_clean_flags(parser: argparse.ArgumentParser) -> None:
+    _add_emd_flags(parser)
+    d = LcdscConfig()
+    parser.add_argument("--gamma", help=f"variance-ratio gate, >= 1 (default {d.gamma:g})")
+    parser.add_argument("--alpha", help=f"family-wise error rate (default {d.alpha})")
+    parser.add_argument("--penalty", choices=("aic", "bic", "mbic"),
+                        help=f"change-point penalty (default {d.penalty.kind})")
+    parser.add_argument("--beta", help="aic penalty per change point")
+    parser.add_argument("--minseg", help="minimum segment length in amplitude cycles "
+                        f"(default {d.min_seg_len})")
+    parser.add_argument("--penalty-scale", help="penalty multiplier for correlated amplitudes "
+                        f"(default {d.penalty_scale})")
+    parser.add_argument("--include-residual", action="store_const", const="true",
+                        help="add the decomposition residual to the cleaned output")
+    parser.add_argument("--config", help="key = value config file; flags take precedence")
+
+
+def _user_values(args, file_cfg: dict[str, str], keys: dict) -> dict:
+    """Parse the settings the user gave, a flag before the config file.
+
+    Keys set in neither are left out, so the config dataclasses supply
+    every default.
+    """
+    values = {}
+    for key, parse in keys.items():
+        text = getattr(args, key)
+        if text is None:
+            text = file_cfg.get(key)
+        if text is None:
+            continue
+        try:
+            values[key] = parse(text)
+        except ValueError:
+            raise UsageError(f"setting {key!r}: cannot parse {text!r}") from None
+    return values
+
+
 def _emd_config(args, file_cfg: dict[str, str]) -> EmdConfig:
-    max_imfs = args.max_imfs
-    if isinstance(max_imfs, str):
-        max_imfs = _parse_max_imfs(max_imfs)
-    if max_imfs is None:
-        max_imfs = _merge(None, file_cfg, "max_imfs", _parse_max_imfs, None)
     try:
-        return EmdConfig(
-            s_number=_merge(args.s_number, file_cfg, "s_number", int, 4),
-            max_sift_iters=_merge(args.max_sift_iters, file_cfg, "max_sift_iters", int, 50),
-            max_imfs=max_imfs,
-            ensemble_size=_merge(args.ensemble_size, file_cfg, "ensemble_size", int, 100),
-            noise_amplitude=_merge(args.noise_amplitude, file_cfg, "noise_amplitude", float, 0.2),
-            seed=_merge(args.seed, file_cfg, "seed", int, 0),
-        )
+        return EmdConfig(**_user_values(args, file_cfg, _EMD_KEYS))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _clean_config(args, file_cfg: dict[str, str]) -> LcdscConfig:
-    kind = _merge(args.penalty, file_cfg, "penalty", str, "mbic")
-    beta = _merge(args.beta, file_cfg, "beta", float, 0.0)
+    values = _user_values(args, file_cfg, _LCDSC_KEYS)
+    kind, beta = values.pop("penalty", None), values.pop("beta", None)
+    if "minseg" in values:
+        values["min_seg_len"] = values.pop("minseg")
     try:
-        penalty = Penalty(kind, beta) if kind == "aic" else Penalty(kind)
-        return LcdscConfig(
-            emd=_emd_config(args, file_cfg),
-            penalty=penalty,
-            min_seg_len=_merge(args.minseg, file_cfg, "minseg", int, 5),
-            gamma=_merge(args.gamma, file_cfg, "gamma", float, 1.0),
-            alpha=_merge(args.alpha, file_cfg, "alpha", float, 0.05),
-            include_residual=bool(
-                _merge(args.include_residual, file_cfg, "include_residual", _parse_bool, False)
-            ),
-            penalty_scale=_merge(args.penalty_scale, file_cfg, "penalty_scale", float, 2.0),
-        )
+        if kind is not None:
+            # beta belongs to the aic penalty only; aic without one is rejected
+            aic = kind == "aic" and beta is not None
+            values["penalty"] = Penalty(kind, beta) if aic else Penalty(kind)
+        return LcdscConfig(emd=_emd_config(args, file_cfg), **values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -501,6 +504,8 @@ def _cmd_bench(args) -> int:
     unknown = [m for m in methods if m not in METHOD_NAMES]
     if unknown:
         raise UsageError(f"unknown method name(s): {', '.join(unknown)}")
+    if args.replicates < 1:
+        raise UsageError("--replicates must be at least 1")
     file_cfg = _parse_config_file(args.config, set(_CLEAN_KEYS)) if args.config else {}
     config = _clean_config(args, file_cfg)
     results = run_benchmark(
@@ -551,16 +556,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=None)
     p.set_defaults(func=_cmd_simulate)
 
-    for name in ("bench", "compare"):
-        p = sub.add_parser(name, help="score cleaning methods on simulated grids")
-        p.add_argument("--grid", required=True, help="key = value grid file (T, sigma, locality)")
-        p.add_argument("--methods", required=True, help="comma-separated method names")
-        p.add_argument("--replicates", type=int, default=20)
-        p.add_argument("--out", required=True)
-        p.add_argument("--timing", action="store_true",
-                       help="record wall seconds (breaks byte-reproducibility)")
-        _add_clean_flags(p)
-        p.set_defaults(func=_cmd_bench)
+    p = sub.add_parser("bench", help="score cleaning methods on simulated grids")
+    p.add_argument("--grid", required=True, help="key = value grid file (T, sigma, locality)")
+    p.add_argument("--methods", required=True, help="comma-separated method names")
+    p.add_argument("--replicates", type=int, default=20)
+    p.add_argument("--out", required=True)
+    p.add_argument("--timing", action="store_true",
+                   help="record wall seconds (breaks byte-reproducibility)")
+    _add_clean_flags(p)
+    p.set_defaults(func=_cmd_bench)
 
     return parser
 

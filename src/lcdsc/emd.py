@@ -267,6 +267,15 @@ def _envelope_from_extrema(x: np.ndarray, maxima: np.ndarray, minima: np.ndarray
     return mean
 
 
+def _envelope_knots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    maxima, minima = find_extrema(x)
+    if maxima.size < 2 or minima.size < 2:
+        raise MonotonicComponent(
+            "monotonic component: envelope needs at least 2 maxima and 2 minima"
+        )
+    return maxima, minima
+
+
 def envelope_mean(series) -> np.ndarray:
     """Mean of the upper and lower extrema envelopes.
 
@@ -274,12 +283,7 @@ def envelope_mean(series) -> np.ndarray:
     exist, which signals that sifting has nothing left to extract.
     """
     x = _as_1d_float(series)
-    maxima, minima = find_extrema(x)
-    if maxima.size < 2 or minima.size < 2:
-        raise MonotonicComponent(
-            "monotonic component: envelope needs at least 2 maxima and 2 minima"
-        )
-    return _envelope_from_extrema(x, maxima, minima)
+    return _envelope_from_extrema(x, *_envelope_knots(x))
 
 
 def sift(series, config: EmdConfig | None = None, index: int = 1) -> Imf:
@@ -287,15 +291,13 @@ def sift(series, config: EmdConfig | None = None, index: int = 1) -> Imf:
 
     The candidate is refined until ``|#extrema - #zero crossings| <= 1``
     holds for ``s_number`` consecutive iterations or the iteration cap is
-    reached (which sets the ``truncated`` flag).
+    reached (which sets the ``truncated`` flag).  Raises
+    ``MonotonicComponent`` when the series has fewer than 2 maxima or 2
+    minima, the signal for ``emd`` to stop extracting.
     """
     config = config or EmdConfig()
     h = _as_1d_float(series).copy()
-    maxima, minima = find_extrema(h)
-    if maxima.size < 2 or minima.size < 2:
-        raise MonotonicComponent(
-            "monotonic component: envelope needs at least 2 maxima and 2 minima"
-        )
+    maxima, minima = _envelope_knots(h)
     streak = 0
     truncated = True
     for _ in range(config.max_sift_iters):
@@ -349,10 +351,10 @@ def emd(series, config: EmdConfig | None = None) -> Decomposition:
     diagnostics: list[str] = []
     remainder = x.copy()
     while len(imfs) < cap:
-        maxima, minima = find_extrema(remainder)
-        if maxima.size < 2 or minima.size < 2:
+        try:
+            imf = sift(remainder, config, index=len(imfs) + 1)
+        except MonotonicComponent:
             break
-        imf = sift(remainder, config, index=len(imfs) + 1)
         if imf.truncated:
             diagnostics.append(
                 f"imf {imf.index}: sifting stopped at max_sift_iters={config.max_sift_iters}"

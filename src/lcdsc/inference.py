@@ -5,9 +5,10 @@ the null its variance exceeds neither neighbor variance by more than the
 factor ``gamma``.  The statistic ``gamma * max(neighbor variances) /
 during variance`` is referred to the F distribution with the segment
 lengths as degrees of freedom, and evidence against the null is a small
-statistic (a large during-variance), so the p-value is the lower tail.
-The whole collection of tests from one cleaning run is then filtered by
-the Holm-Bonferroni step-down procedure.
+statistic (a large during-variance), so the p-value is the lower tail,
+computed by ``scipy.special.fdtr``.  The whole collection of tests from
+one cleaning run is then filtered by the Holm-Bonferroni step-down
+procedure.
 
 Note: the degrees of freedom are the raw segment lengths, not lengths
 minus one; at the segment sizes this pipeline produces the difference is
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import fdtr
 
 from .emd import _as_1d_float
 
@@ -78,77 +80,13 @@ def sample_variance(series, i: int, j: int) -> float:
     return float(np.var(x[i : j + 1]))
 
 
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    # modified Lentz evaluation of the incomplete-beta continued fraction
-    max_iter = 300
-    eps = 1e-15
-    fpmin = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
-
-
 def f_cdf(x: float, df1: int, df2: int) -> float:
-    """P(F_{df1, df2} <= x) via the regularized incomplete beta function."""
+    """P(F_{df1, df2} <= x), computed by ``scipy.special.fdtr``."""
     if not (df1 >= 1 and df2 >= 1):
         raise ValueError("degrees of freedom must be at least 1")
     if math.isnan(x) or x < 0:
         raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    z = df1 * x / (df1 * x + df2)
-    return _reg_inc_beta(df1 / 2.0, df2 / 2.0, z)
+    return float(fdtr(df1, df2, x))
 
 
 def f_test_segment(

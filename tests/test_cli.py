@@ -1,9 +1,11 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from lcdsc import LcdscConfig
 from lcdsc.cli import _json_dumps, ingest, main
 
 
@@ -172,6 +174,37 @@ class TestClean:
                        "--gamma", "0.2") == 1
 
 
+class TestSettings:
+    @pytest.mark.parametrize("command", ["decompose", "clean"])
+    def test_unparsable_flag_is_usage_error(self, sim_dir, tmp_path, command):
+        assert run_cli(command, str(sim_dir / "noisy.csv"), "--out-dir", str(tmp_path / "x"),
+                       "--max-imfs", "banana") == 1
+
+    def test_max_imfs_auto_flag_beats_config_file(self, sim_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_imfs = 2\nensemble_size = 2\n")
+        out = tmp_path / "dec"
+        assert run_cli("decompose", str(sim_dir / "noisy.csv"), "--out-dir", str(out),
+                       "--config", str(cfg), "--max-imfs", "auto") == 0
+        header = (out / "imfs.csv").read_text().splitlines()[0].split(",")
+        assert len([name for name in header if name.startswith("imf")]) > 2
+
+    def test_defaults_come_from_the_config_dataclasses(self, sim_dir, tmp_path):
+        out = tmp_path / "rep"
+        assert run_cli("clean", str(sim_dir / "noisy.csv"), "--out-dir", str(out)) == 0
+        d = LcdscConfig()
+        assert json.loads((out / "report.json").read_text())["config"] == {
+            "emd": asdict(d.emd),
+            "penalty": d.penalty.kind,
+            "beta": d.penalty.beta,
+            "min_seg_len": d.min_seg_len,
+            "gamma": d.gamma,
+            "alpha": d.alpha,
+            "include_residual": d.include_residual,
+            "penalty_scale": d.penalty_scale,
+        }
+
+
 class TestSweepGamma:
     def test_per_gamma_directories_and_sparsity(self, sim_dir, tmp_path):
         out = tmp_path / "sweep"
@@ -203,20 +236,13 @@ class TestBench:
         assert lines[0] == "T,sigma,param,method,replicate,rss,seconds"
         assert len(lines) == 1 + 3 * 2
 
-    def test_compare_alias(self, tmp_path):
-        grid = tmp_path / "grid.cfg"
-        grid.write_text("T = 400\nsigma = 0.3\n")
-        assert run_cli("compare", "--grid", str(grid), "--methods", "none",
-                       "--replicates", "1", "--seed", "0", "--ensemble-size", "2",
-                       "--out", str(tmp_path / "c.csv")) == 0
-
     def test_unknown_method(self, tmp_path):
         grid = tmp_path / "grid.cfg"
         grid.write_text("T = 400\nsigma = 0.3\n")
         assert run_cli("bench", "--grid", str(grid), "--methods", "lcdsc,bogus",
                        "--out", str(tmp_path / "c.csv")) == 1
 
-    @pytest.mark.parametrize("command", ["bench", "compare"])
+    @pytest.mark.parametrize("command", ["bench"])
     @pytest.mark.parametrize("config", ["gamma = banana\n", "wavelength = 3\n"],
                              ids=["bad_value", "unknown_key"])
     def test_config_error_is_usage_error(self, tmp_path, command, config):
@@ -238,6 +264,12 @@ class TestBench:
         assert run_cli(*common, "--ensemble-size", "2", "--seed", "5", "--gamma", "2",
                        "--out", str(by_flags)) == 0
         assert read(by_file) == read(by_flags)
+
+    def test_zero_replicates_is_usage_error(self, tmp_path):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("T = 400\nsigma = 0.3\n")
+        assert run_cli("bench", "--grid", str(grid), "--methods", "none",
+                       "--replicates", "0", "--out", str(tmp_path / "c.csv")) == 1
 
     def test_unknown_grid_key(self, tmp_path):
         grid = tmp_path / "grid.cfg"

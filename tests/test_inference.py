@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from lcdsc import (
@@ -36,6 +38,11 @@ def f_cdf_quadrature(x, df1, df2):
     return 1 - regularized(b, a, 1 - z)
 
 
+DF = st.integers(1, 10**6)
+P_VALUES = st.lists(st.floats(0.0, 1.0), max_size=30)
+ALPHAS = st.floats(0.001, 0.999)
+
+
 class TestSampleVariance:
     def test_constant(self):
         assert sample_variance([5.0, 5.0, 5.0], 0, 2) == 0.0
@@ -54,7 +61,7 @@ class TestSampleVariance:
 
 class TestFCdf:
     def test_symmetry_point(self):
-        for d in range(1, 21):
+        for d in (*range(1, 21), 10**6):
             assert abs(f_cdf(1.0, d, d) - 0.5) < 1e-12
 
     def test_limits(self):
@@ -82,6 +89,17 @@ class TestFCdf:
             f_cdf(1.0, 0, 5)
         with pytest.raises(ValueError):
             f_cdf(-0.5, 5, 5)
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, 1e12), st.floats(0.0, 1e12), DF, DF)
+    def test_property_bounded_and_nondecreasing(self, x1, x2, d1, d2):
+        lo, hi = sorted((x1, x2))
+        assert 0.0 <= f_cdf(lo, d1, d2) <= f_cdf(hi, d1, d2) <= 1.0
+
+    @settings(deadline=None)
+    @given(st.floats(1e-6, 1e6), DF, DF)
+    def test_property_reciprocal_complement(self, x, d1, d2):
+        assert abs(f_cdf(x, d1, d2) + f_cdf(1 / x, d2, d1) - 1.0) < 1e-12
 
 
 class TestFTestSegment:
@@ -158,6 +176,20 @@ class TestHolm:
             holm = holm_bonferroni(ps, 0.05)
             bonf = [p < 0.05 / len(ps) for p in ps]
             assert all(h or not b for h, b in zip(holm, bonf))
+
+    @settings(deadline=None)
+    @given(P_VALUES, ALPHAS)
+    def test_property_rejects_a_prefix_of_the_sorted_p_values(self, ps, alpha):
+        flags = holm_bonferroni(ps, alpha)
+        by_p = [flags[i] for i in sorted(range(len(ps)), key=ps.__getitem__)]
+        assert by_p == sorted(by_p, reverse=True)
+
+    @settings(deadline=None)
+    @given(P_VALUES, ALPHAS)
+    def test_property_rejections_lie_below_their_thresholds(self, ps, alpha):
+        flags = holm_bonferroni(ps, alpha)
+        thresholds = holm_thresholds(ps, alpha)
+        assert all(p < t for p, t, f in zip(ps, thresholds, flags) if f)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
