@@ -41,8 +41,8 @@ class Penalty:
     def __post_init__(self):
         if self.kind not in _PENALTY_KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {_PENALTY_KINDS}")
-        if self.kind == "aic" and not self.beta > 0:
-            raise ValueError("aic penalty requires beta > 0")
+        if self.kind == "aic" and not 0 < self.beta < math.inf:
+            raise ValueError("aic penalty requires a finite beta > 0")
 
     @classmethod
     def aic(cls, beta: float) -> "Penalty":
@@ -157,6 +157,16 @@ def _pruning_safe(stats: SegStats, min_seg_len: int) -> bool:
     return float(window_var.min()) * w >= stats.var_floor * stats.n
 
 
+def _taus_ending_at(prev: np.ndarray, s: int) -> tuple[int, ...]:
+    """Change points of every split whose last segment starts at ``s``: those
+    of the best split of ``[0, s)`` (walked back through ``prev``), then ``s - 1``."""
+    taus = []
+    while s > 0:
+        taus.append(s - 1)
+        s = int(prev[s])
+    return tuple(reversed(taus))
+
+
 def detect_changepoints(
     series, penalty: Penalty, min_seg_len: int = 10, penalty_scale: float = 1.0
 ) -> ChangePointSet:
@@ -180,8 +190,8 @@ def detect_changepoints(
     x = _as_1d_float(series)
     if min_seg_len < 2:
         raise ValueError("min_seg_len must be at least 2")
-    if not penalty_scale > 0:
-        raise ValueError("penalty_scale must be positive")
+    if not 0 < penalty_scale < math.inf:
+        raise ValueError("penalty_scale must be positive and finite")
     n = x.size
     if n < 2 * min_seg_len:
         raise ValueError("series too short: need at least 2*min_seg_len samples")
@@ -203,33 +213,27 @@ def detect_changepoints(
     prune = _pruning_safe(stats, msl)
 
     never = np.iinfo(np.intp).max
-    cand = np.empty(n + 1, dtype=np.intp)
-    cand_f = np.empty(n + 1)
-    cand_expiry = np.empty(n + 1, dtype=np.intp)
+    cand = np.empty(n + 1, dtype=np.intp)  # live candidate starts, ascending
     n_cand = 0
-
+    expiry = np.full(n + 1, never, dtype=np.intp)  # step at which a start is dropped
     f_best = np.empty(n + 1)
     f_best[0] = -per_change
-    taus_of: list[tuple[int, ...] | None] = [None] * (n + 1)
-    taus_of[0] = ()
+    prev = np.zeros(n + 1, dtype=np.intp)  # start of the last segment of the best [0, t)
 
     for t in range(msl, n + 1):
         s_new = t - msl
         if s_new == 0 or s_new >= msl:
             cand[n_cand] = s_new
-            cand_f[n_cand] = f_best[s_new]
-            cand_expiry[n_cand] = never
             n_cand += 1
 
-        alive = cand_expiry[:n_cand] > t
-        if not alive.all():
-            keep = np.flatnonzero(alive)
-            cand[: keep.size] = cand[keep]
-            cand_f[: keep.size] = cand_f[keep]
-            cand_expiry[: keep.size] = cand_expiry[keep]
-            n_cand = keep.size
-
         starts = cand[:n_cand]
+        expires = expiry[starts]
+        alive = expires > t
+        if not alive.all():
+            n_cand = int(np.count_nonzero(alive))
+            cand[:n_cand] = starts[alive]
+            starts, expires = cand[:n_cand], expires[alive]
+
         lengths = (t - starts).astype(float)
         sums = ps[t] - ps[starts]
         sumsq = pq[t] - pq[starts]
@@ -239,34 +243,24 @@ def detect_changepoints(
         costs = lengths * np.log(var)
         if mbic:
             costs += penalty_scale * np.log(lengths)
-        vals = cand_f[:n_cand] + costs + per_change
+        vals = f_best[starts] + costs + per_change
 
         best_pos = int(np.argmin(vals))
         best = float(vals[best_pos])
         ties = np.flatnonzero(vals == best)
         if ties.size > 1:
             # prefer fewer change points, then the smallest tau vector
-            best_key = None
-            for pos in ties:
-                s = int(starts[pos])
-                cand_taus = taus_of[s] if s == 0 else taus_of[s] + (s - 1,)
-                key = (len(cand_taus), cand_taus)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pos = int(pos)
-        s_star = int(starts[best_pos])
+            keys = [(len(k), k) for k in (_taus_ending_at(prev, int(starts[p])) for p in ties)]
+            best_pos = int(ties[keys.index(min(keys))])
         f_best[t] = best
-        taus_of[t] = taus_of[s_star] if s_star == 0 else taus_of[s_star] + (s_star - 1,)
+        prev[t] = starts[best_pos]
 
         if prune:
-            dominated = (vals - per_change + prune_slack > best) & (
-                cand_expiry[:n_cand] == never
-            )
+            dominated = (vals - per_change + prune_slack > best) & (expires == never)
             if dominated.any():
-                cand_expiry[:n_cand][dominated] = t + msl
+                expiry[starts[dominated]] = t + msl
 
-    taus = taus_of[n]
-    assert taus is not None
+    taus = _taus_ending_at(prev, int(prev[n]))
     return ChangePointSet(
         taus=taus,
         total_cost=_objective(stats, taus, penalty, penalty_scale),

@@ -20,10 +20,16 @@ cycles in total cannot support the segment model at all and are zeroed
 with a diagnostic.  Segment bounds map back to raw sample indices for
 the zeroing step, so reports and cleaned output are always full
 resolution.
+
+Only the F-tests and what follows them depend on ``gamma``: each IMF's
+segment table (full-rate bounds, per-cycle variance and effective count
+of every segment) is computed once for each decomposition and reused
+for every gamma.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,14 +74,15 @@ class LcdscConfig:
     penalty_scale: float = 2.0
 
     def __post_init__(self):
-        if self.gamma < 1:
+        # each check is written so that NaN fails it
+        if not self.gamma >= 1:
             raise ValueError("gamma must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.min_seg_len < 2:
+        if not self.min_seg_len >= 2:
             raise ValueError("min_seg_len must be at least 2")
-        if not self.penalty_scale > 0:
-            raise ValueError("penalty_scale must be positive")
+        if not 0 < self.penalty_scale < math.inf:
+            raise ValueError("penalty_scale must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +105,10 @@ class _ImfAnalysis:
     """Per-IMF detection state shared between the pipeline stages."""
 
     amplitude: np.ndarray          # full-rate instantaneous amplitude
-    sampled: np.ndarray | None     # per-cycle amplitude fed to the detector
-    stride: int
-    cycle_factor: float            # oscillation period over stride, >= 1
-    strided_cps: ChangePointSet | None
-    changepoints: ChangePointSet   # full-rate view for the report
+    changepoints: ChangePointSet   # full-rate change points
+    # (full-rate start, end, per-cycle variance, effective count) per
+    # segment; empty when the IMF has no change points
+    segments: tuple[tuple[int, int, float, int], ...]
 
 
 def clean_imf(imf, amplitude, cps: ChangePointSet, decisions) -> np.ndarray:
@@ -145,7 +151,7 @@ def _cycle_stride(imf_samples: np.ndarray, n: int) -> tuple[int, float]:
 def _detect_stage(
     d: Decomposition, config: LcdscConfig
 ) -> tuple[tuple[_ImfAnalysis, ...], tuple[str, ...]]:
-    """Per-IMF amplitudes and change points (the gamma-independent work)."""
+    """Per-IMF amplitudes, change points and segment tables (the gamma-independent work)."""
     n = d.source_len
     msl = config.min_seg_len
     diagnostics = list(d.diagnostics)
@@ -165,16 +171,18 @@ def _detect_stage(
             diagnostics.append(
                 f"imf {imf.index}: amplitude too short to segment; component zeroed"
             )
-            analyses.append(
-                _ImfAnalysis(_frozen_copy(amp), None, stride, factor, None, empty)
-            )
+            analyses.append(_ImfAnalysis(_frozen_copy(amp), empty, ()))
             continue
         cps = detect_changepoints(sampled, config.penalty, msl, config.penalty_scale)
         taus_full = tuple(int((tau + 1) * stride - 1) for tau in cps.taus)
         full_view = ChangePointSet(taus_full, cps.total_cost, cps.penalty, msl)
-        analyses.append(
-            _ImfAnalysis(_frozen_copy(amp), _frozen_copy(sampled), stride, factor, cps, full_view)
-        )
+        segments = ()
+        if cps.taus:
+            segments = tuple(
+                (lo, hi, sample_variance(sampled, a, b), _effective_count(b - a + 1, factor))
+                for (a, b), (lo, hi) in zip(cps.segments(sampled.size), full_view.segments(n))
+            )
+        analyses.append(_ImfAnalysis(_frozen_copy(amp), full_view, segments))
     return tuple(analyses), tuple(diagnostics)
 
 
@@ -191,25 +199,15 @@ def _testing_stage(
     """F-tests, Holm correction, zeroing, and report assembly for one gamma."""
     n = d.source_len
     tests = []
-    test_imf_pos: list[int] = []
     for pos, analysis in enumerate(analyses):
-        cps = analysis.strided_cps
-        if cps is None or not cps.taus:
-            continue
-        sampled = analysis.sampled
-        segs = cps.segments(sampled.size)
-        stats = [
-            (sample_variance(sampled, a, b), _effective_count(b - a + 1, analysis.cycle_factor))
-            for a, b in segs
-        ]
-        full_bounds = analysis.changepoints.segments(n)
-        for q, (lo, hi) in enumerate(full_bounds):
-            before = stats[q - 1] if q > 0 else None
-            after = stats[q + 1] if q + 1 < len(segs) else None
+        segs = analysis.segments
+        for q, (lo, hi, s2, count) in enumerate(segs):
+            before = segs[q - 1][2:] if q > 0 else None
+            after = segs[q + 1][2:] if q + 1 < len(segs) else None
             tests.append(
                 f_test_segment(
                     before,
-                    stats[q],
+                    (s2, count),
                     after,
                     config.gamma,
                     imf_index=pos + 1,
@@ -217,7 +215,6 @@ def _testing_stage(
                     seg_end=hi,
                 )
             )
-            test_imf_pos.append(pos)
 
     p_values = [t.p_value for t in tests]
     flags = holm_bonferroni(p_values, config.alpha) if tests else []
@@ -228,8 +225,8 @@ def _testing_stage(
     )
 
     per_imf: list[list[SegmentDecision]] = [[] for _ in d.imfs]
-    for decision, pos in zip(decisions, test_imf_pos):
-        per_imf[pos].append(decision)
+    for decision in decisions:
+        per_imf[decision.test.imf_index - 1].append(decision)
 
     cleaned_imfs = tuple(
         _frozen_copy(clean_imf(imf.samples, analysis.amplitude, analysis.changepoints, decs))
@@ -281,20 +278,17 @@ def lcdsc_clean(series, config: LcdscConfig | None = None, workers: int = 1) -> 
 def gamma_sweep(
     series, gammas, config: LcdscConfig | None = None, workers: int = 1
 ) -> list[CleaningReport]:
-    """Clean once per gamma, reusing one decomposition and one change-point pass.
+    """Clean once per gamma, reusing one decomposition and one segment table per IMF.
 
     Only the testing stage depends on gamma, so larger values can only
-    shrink the set of significant segments.
+    shrink the set of significant segments.  Every gamma is checked by
+    ``LcdscConfig`` before the decomposition runs.
     """
     config = config or LcdscConfig()
-    gammas = [float(g) for g in gammas]
-    if not gammas:
+    configs = [replace(config, gamma=float(g)) for g in gammas]
+    if not configs:
         raise ValueError("gammas must be nonempty")
-    if any(g < 1 for g in gammas):
-        raise ValueError("every gamma must be at least 1")
     ts = _coerce_series(series)
     d = eemd(ts, config.emd, workers=workers)
     analyses, diagnostics = _detect_stage(d, config)
-    return [
-        _testing_stage(d, analyses, diagnostics, replace(config, gamma=g)) for g in gammas
-    ]
+    return [_testing_stage(d, analyses, diagnostics, c) for c in configs]

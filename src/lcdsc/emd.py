@@ -146,8 +146,8 @@ class EmdConfig:
             raise ValueError("max_imfs must be at least 1 (or None for auto)")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be at least 1")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise_amplitude must be nonnegative")
+        if not 0 <= self.noise_amplitude < math.inf:
+            raise ValueError("noise_amplitude must be nonnegative and finite")
 
 
 def find_extrema(series) -> tuple[np.ndarray, np.ndarray]:
@@ -173,19 +173,6 @@ def find_extrema(series) -> tuple[np.ndarray, np.ndarray]:
 def _zero_crossings(x: np.ndarray) -> int:
     positive = (x > 0)[x != 0]
     return int(np.count_nonzero(positive[:-1] != positive[1:]))
-
-
-_GRID_CACHE: dict[int, np.ndarray] = {}
-
-
-def _query_grid(n: int) -> np.ndarray:
-    grid = _GRID_CACHE.get(n)
-    if grid is None:
-        grid = np.arange(n, dtype=float)
-        grid.setflags(write=False)
-        if len(_GRID_CACHE) < 64:
-            _GRID_CACHE[n] = grid
-    return grid
 
 
 def _envelope_from_extrema(x: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.ndarray:
@@ -254,7 +241,8 @@ def _envelope_from_extrema(x: np.ndarray, maxima: np.ndarray, minima: np.ndarray
     np.subtract(maxima[1:], maxima[:-1], out=counts[2 : b - 2])
     np.subtract(minima[1:], minima[:-1], out=counts[b + 3 : -2])
     counts[[1, b - 2, b + 2, -2]] = (u0, n - u3, l0, n - l3)
-    t = _query_grid(2 * n) - pos[:-1].repeat(counts)
+    t = np.arange(2 * n, dtype=float)
+    t -= pos[:-1].repeat(counts)
     env = a3.repeat(counts)
     env *= t
     env += a2.repeat(counts)

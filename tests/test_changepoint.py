@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcdsc import Penalty, SegStats, detect_changepoints, penalty_value, segment_cost
 
@@ -48,6 +50,33 @@ def enumerate_best(x, penalty, msl, max_m=3):
             if best is None or key < best:
                 best = key
     return best
+
+
+def unpruned_search(x, penalty, msl, penalty_scale=1.0):
+    """Optimal partitioning over every admissible start, carrying whole tau tuples.
+
+    The same arithmetic as ``detect_changepoints`` without pruning or
+    back-pointers, so the two must agree bit for bit, ties included.
+    """
+    n = len(x)
+    stats = SegStats.from_series(x)
+    ps, pq = stats.prefix_sum, stats.prefix_sumsq
+    per_change = {"aic": penalty.beta, "bic": math.log(n), "mbic": 3.0 * math.log(n)}[penalty.kind]
+    per_change *= penalty_scale
+    f_best, taus_of = {0: -per_change}, {0: ()}
+    for t in range(msl, n + 1):
+        starts = np.array([0, *range(msl, t - msl + 1)], dtype=np.intp)
+        lengths = (t - starts).astype(float)
+        mean = (ps[t] - ps[starts]) / lengths
+        var = np.maximum((pq[t] - pq[starts]) / lengths - mean * mean, stats.var_floor)
+        costs = lengths * np.log(var)
+        if penalty.kind == "mbic":
+            costs += penalty_scale * np.log(lengths)
+        vals = np.array([f_best[s] for s in starts]) + costs + per_change
+        f_best[t] = float(vals.min())
+        tied = [taus_of[s] + ((s - 1,) if s else ()) for s in starts[vals == f_best[t]].tolist()]
+        taus_of[t] = min(tied, key=lambda taus: (len(taus), taus))
+    return taus_of[n]
 
 
 class TestSegmentCost:
@@ -102,6 +131,9 @@ class TestPenaltyValue:
     def test_aic_requires_beta(self):
         with pytest.raises(ValueError, match="beta"):
             Penalty("aic")
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                Penalty.aic(bad)
         with pytest.raises(ValueError, match="unknown penalty"):
             Penalty("bogus")
 
@@ -157,11 +189,55 @@ class TestDetect:
                 assert got.taus == want[2]
                 assert got.total_cost == want[0]
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(12, 40).flatmap(
+            lambda n: st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        ),
+        st.integers(2, 4),
+        st.sampled_from(["bic", "mbic", "aic"]),
+        st.integers(1, 8),
+    )
+    def test_property_matches_enumeration(self, values, msl, kind, beta):
+        # small integers force exact ties and constant runs at the variance floor
+        x = np.array(values, dtype=float)
+        penalty = Penalty.aic(float(beta)) if kind == "aic" else Penalty(kind)
+        got = detect_changepoints(x, penalty, msl)
+        want = enumerate_best(x, penalty, msl)
+        # The search adds costs in another order than the enumeration, so splits
+        # whose objectives differ only by rounding (|objective| < 3e4 here, so
+        # far less than 1e-9) may be ranked either way.  A split with at most
+        # three changes is among the enumerated ones, so this bounds it from
+        # both sides; one with more can only beat the enumeration.
+        assert got.total_cost <= want[0] + 1e-9
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(12, 80).flatmap(
+            lambda n: st.one_of(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                st.lists(st.floats(-3, 3), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(2, 4),
+        st.sampled_from(["bic", "mbic", "aic"]),
+        st.floats(0.5, 8.0),
+        st.sampled_from([1.0, 2.0]),
+    )
+    def test_property_matches_unpruned_search(self, values, msl, kind, beta, scale):
+        x = np.array(values, dtype=float)
+        penalty = Penalty.aic(beta) if kind == "aic" else Penalty(kind)
+        got = detect_changepoints(x, penalty, msl, scale)
+        assert got.taus == unpruned_search(x, penalty, msl, scale)
+
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             detect_changepoints(np.ones(15), Penalty.bic(), 10)
         with pytest.raises(ValueError, match="min_seg_len"):
             detect_changepoints(np.ones(15), Penalty.bic(), 1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="penalty_scale"):
+                detect_changepoints(np.ones(30), Penalty.bic(), 10, penalty_scale=bad)
 
     def test_segments_layout(self):
         x = alternating_instance(1)

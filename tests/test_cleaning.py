@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcdsc import (
     ChangePointSet,
@@ -180,7 +184,55 @@ class TestGammaSweep:
             gamma_sweep(noisy, [0.5], LcdscConfig(emd=FAST_EMD))
 
 
+recordings = st.builds(
+    lambda seed, sigma: local_doppler(LocalSignalSpec(400, 150, 250, sigma, seed=seed))[0],
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 0.5),
+)
+
+
+class TestProperties:
+    @settings(deadline=None, max_examples=8)
+    @given(recordings, st.lists(st.floats(1.0, 16.0), min_size=2, max_size=4))
+    def test_significant_sets_nest_as_gamma_grows(self, noisy, gammas):
+        gammas = sorted(gammas)
+        reports = gamma_sweep(noisy, gammas, LcdscConfig(emd=EmdConfig(ensemble_size=2)))
+        sig_sets = [
+            {(d.test.imf_index, d.test.seg_start) for d in r.decisions if d.significant}
+            for r in reports
+        ]
+        for larger, smaller in zip(sig_sets, sig_sets[1:]):
+            assert smaller <= larger
+
+    @settings(deadline=None, max_examples=8)
+    @given(recordings, st.floats(1.0, 4.0))
+    def test_each_segment_is_kept_whole_or_zeroed_whole(self, noisy, gamma):
+        report = lcdsc_clean(noisy, LcdscConfig(emd=EmdConfig(ensemble_size=2), gamma=gamma))
+        n = len(noisy)
+        for pos, imf in enumerate(report.decomposition.imfs):
+            cleaned = report.cleaned_imfs[pos]
+            cps = report.changepoints[pos]
+            decisions = [d for d in report.decisions if d.test.imf_index == pos + 1]
+            if not cps.taus:
+                assert not decisions and not cleaned.any()
+                continue
+            segments = cps.segments(n)
+            assert [(d.test.seg_start, d.test.seg_end) for d in decisions] == segments
+            for (lo, hi), d in zip(segments, decisions):
+                want = imf.samples[lo : hi + 1] if d.significant else np.zeros(hi - lo + 1)
+                assert np.array_equal(cleaned[lo : hi + 1], want)
+
+
 class TestConfigValidation:
+    def test_non_finite_values_are_rejected(self):
+        with pytest.raises(ValueError, match="gamma"):
+            LcdscConfig(gamma=math.nan)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="penalty_scale"):
+                LcdscConfig(penalty_scale=bad)
+        with pytest.raises(ValueError, match="alpha"):
+            LcdscConfig(alpha=math.nan)
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             LcdscConfig(gamma=0.5)

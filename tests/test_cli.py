@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lcdsc import LcdscConfig
-from lcdsc.cli import _json_dumps, ingest, main
+from lcdsc.cli import _fmt_float, _json_dumps, _matrix_csv, ingest, main
 
 
 def run_cli(*args, env=None):
@@ -67,6 +67,16 @@ class TestIngest:
         code = run_cli("decompose", str(path), "--out-dir", str(tmp_path / "o"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, row", [("t,value\n1,1\n0,2\n2,3\n", 3), ("1,1\n0,2\n2,3\n", 2)],
+        ids=["header", "no-header"],
+    )
+    def test_decreasing_time_names_offending_row(self, tmp_path, capsys, text, row):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        assert run_cli("decompose", str(path), "--out-dir", str(tmp_path / "o")) == 2
+        assert f"row {row}: time column must be increasing" in capsys.readouterr().err
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("")
@@ -76,6 +86,36 @@ class TestIngest:
     def test_missing_file(self, tmp_path):
         code = run_cli("decompose", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path / "o"))
         assert code == 2
+
+
+def per_cell_csv(columns):
+    """Reference for ``_matrix_csv``: one ``_fmt_float`` call per cell."""
+    lines = [",".join(name for name, _ in columns)]
+    n = len(columns[0][1]) if columns else 0
+    for i in range(n):
+        lines.append(",".join(_fmt_float(float(col[i])) for _, col in columns))
+    return "\n".join(lines) + "\n"
+
+
+class TestMatrixCsv:
+    def test_matches_per_cell_formatting(self):
+        special = np.array([
+            np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+            1e-300, 1e300, 0.1, -1.0,
+        ])
+        rng = np.random.default_rng(3)
+        n = 9001  # more rows than one formatting block
+        columns = [
+            ("special", np.resize(special, n)),
+            ("wide", rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)),
+            ("unit", rng.normal(size=n)),
+        ]
+        assert _matrix_csv(columns) == per_cell_csv(columns)
+
+    def test_zero_rows_and_zero_columns(self):
+        columns = [("a", np.zeros(0)), ("b", np.zeros(0))]
+        assert _matrix_csv(columns) == per_cell_csv(columns) == "a,b\n"
+        assert _matrix_csv([]) == per_cell_csv([]) == "\n"
 
 
 class TestSimulate:
@@ -205,6 +245,30 @@ class TestSettings:
         }
 
 
+    @pytest.mark.parametrize("flags", [
+        ("--gamma", "nan"),
+        ("--noise-amplitude", "nan"),
+        ("--noise-amplitude", "inf"),
+        ("--beta", "5"),
+        ("--penalty", "mbic", "--beta", "5"),
+        ("--penalty", "aic", "--beta", "inf"),
+        ("--penalty-scale", "inf"),
+    ], ids=lambda flags: " ".join(flags))
+    def test_setting_that_cannot_apply_is_usage_error(self, sim_dir, tmp_path, flags):
+        assert run_cli("clean", str(sim_dir / "noisy.csv"), "--out-dir", str(tmp_path / "x"),
+                       "--ensemble-size", "2", *flags) == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_beta_in_config_file_needs_aic(self, sim_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ensemble_size = 2\nbeta = 5\n")
+        common = ("clean", str(sim_dir / "noisy.csv"), "--config", str(cfg))
+        assert run_cli(*common, "--out-dir", str(tmp_path / "x")) == 1
+        assert run_cli(*common, "--out-dir", str(tmp_path / "aic"), "--penalty", "aic") == 0
+        doc = json.loads((tmp_path / "aic" / "report.json").read_text())
+        assert (doc["config"]["penalty"], doc["config"]["beta"]) == ("aic", 5.0)
+
+
 class TestSweepGamma:
     def test_per_gamma_directories_and_sparsity(self, sim_dir, tmp_path):
         out = tmp_path / "sweep"
@@ -219,6 +283,10 @@ class TestSweepGamma:
 
     def test_bad_gammas(self, sim_dir, tmp_path):
         assert run_cli("sweep-gamma", str(sim_dir / "noisy.csv"), "--gammas", "0.5,2",
+                       "--out-dir", str(tmp_path / "x")) == 1
+
+    def test_nan_gamma_is_usage_error(self, sim_dir, tmp_path):
+        assert run_cli("sweep-gamma", str(sim_dir / "noisy.csv"), "--gammas", "1,nan",
                        "--out-dir", str(tmp_path / "x")) == 1
 
 

@@ -418,5 +418,8 @@ class TestConfigValidation:
             EmdConfig(ensemble_size=0)
         with pytest.raises(ValueError):
             EmdConfig(noise_amplitude=-0.1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise_amplitude"):
+                EmdConfig(noise_amplitude=bad)
         with pytest.raises(ValueError):
             TimeSeries([1.0, 2.0], dt=0.0)
