@@ -2,10 +2,10 @@
 
 Segments a series under the Gaussian variance likelihood cost
 ``n_seg * log(max(var, var_floor))`` (biased MLE variance about the
-segment mean) plus a model-selection penalty, and returns the exact
-global minimizer via the optimal-partitioning recursion.  Candidate
-starts are pruned PELT-style; the pruning rules below are conservative
-enough that the optimum is never changed:
+segment mean) plus a model-selection penalty, and returns the global
+minimizer via the optimal-partitioning recursion, exact up to rounding
+ties.  Candidate starts are pruned PELT-style; the pruning rules below
+are conservative enough that the optimum is never changed:
 
 * candidates are only dropped ``min_seg_len`` steps after they are first
   dominated, which closes the gap left by the minimum-length constraint;
@@ -170,7 +170,11 @@ def _taus_ending_at(prev: np.ndarray, s: int) -> tuple[int, ...]:
 def detect_changepoints(
     series, penalty: Penalty, min_seg_len: int = 10, penalty_scale: float = 1.0
 ) -> ChangePointSet:
-    """Exact minimizer of segment costs plus penalty over all segmentations.
+    """Minimizer of segment costs plus penalty over all segmentations.
+
+    Exact up to rounding ties: the recursion adds costs in another order
+    than ``total_cost`` sums them, so of two splits whose costs tie to
+    within a few ulp it may return the one reported 1-2 ulp higher.
 
     Parameters
     ----------

@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Every command is deterministic given its flags; all randomness flows from
-``--seed``.  Output files are written atomically (temp file + rename).
-The ``LCDSC_THREADS`` environment variable caps the worker count for the
-decomposition ensemble (0 or unset picks the CPU count); it never changes
-results.
+``--seed``.  Each output file is streamed in chunks into a temp file that
+is then renamed over it; an output path that cannot be written is a data
+error.  CSV cells carry 17 significant digits, and JSON numbers are
+Python's shortest round-trip decimals.  ``simulate`` rejects a flag that
+its kind does not read.  The ``LCDSC_THREADS`` environment variable caps
+the worker count for the decomposition ensemble (0 or unset picks the CPU
+count); it never changes results.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict, replace
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +35,8 @@ from .simulation import (
     bench_table,
     chirp,
     double_doppler,
+    doppler_grid,
+    grid_spec,
     local_doppler,
     run_benchmark,
 )
@@ -113,77 +120,45 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
     return TimeSeries(values, dt)
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Stream text chunks into a temp file beside ``path``, then rename it over ``path``.
 
-
-def _fmt_float(value: float) -> str:
-    if value != value:
-        return "nan"
-    if value in (float("inf"), float("-inf")):
-        return "1e999" if value > 0 else "-1e999"
-    return format(value, ".17g")
-
-
-def _json_dumps(obj, indent: int = 0) -> str:
-    """Canonical JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(k))}: {_json_dumps(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{_json_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-_CSV_BLOCK_ROWS = 4096
-
-
-def _matrix_csv(columns: list[tuple[str, np.ndarray]]) -> str:
-    """CSV of equal-length float columns, every cell as ``_fmt_float`` writes it.
-
-    ``'%.17g' % v`` equals ``format(v, '.17g')`` except for +-inf, which it
-    writes as ``inf``.  Each block of rows is one ``%``; one ``%`` over all
-    rows raised the peak RSS of a 20000-sample ``lcdsc clean`` by ~9 MB.
+    Any failure removes the temp file; an ``OSError`` becomes a ``DataError``.
     """
-    parts = [",".join(name for name, _ in columns) + "\n"]
-    if columns:
-        matrix = np.column_stack([col for _, col in columns]).astype(float, copy=False)
-        row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-        has_inf = bool(np.isinf(matrix).any())
-        for i in range(0, matrix.shape[0], _CSV_BLOCK_ROWS):
-            block = matrix[i : i + _CSV_BLOCK_ROWS]
-            text = (row * block.shape[0]) % tuple(block.ravel().tolist())
-            parts.append(text.replace("inf", "1e999") if has_inf else text)
-    return "".join(parts)
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+# report.json and meta.json: json.dumps(doc, indent=2) in pieces; NaN and inf raise
+_JSON = json.JSONEncoder(indent=2, allow_nan=False)
+_CSV_BLOCK_ROWS = 1024
+
+
+def _matrix_csv(columns: list[tuple[str, np.ndarray]]) -> Iterator[str]:
+    """CSV of equal-length float columns: the header, then one chunk per block of rows.
+
+    Every cell is ``'%.17g' % v``, with +-inf written as ``1e999`` and
+    ``-1e999``.  Each block is stacked and formatted with one ``%``, so
+    memory holds one block, never the whole matrix or text.
+    """
+    yield ",".join(name for name, _ in columns) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    for i in range(0, len(columns[0][1]) if columns else 0, _CSV_BLOCK_ROWS):
+        block = np.column_stack([col[i : i + _CSV_BLOCK_ROWS] for _, col in columns])
+        text = (row * block.shape[0]) % tuple(block.ravel().tolist())
+        yield text.replace("inf", "1e999") if np.isinf(block).any() else text
 
 
 def _decomposition_columns(d: Decomposition) -> list[tuple[str, np.ndarray]]:
@@ -192,17 +167,10 @@ def _decomposition_columns(d: Decomposition) -> list[tuple[str, np.ndarray]]:
     return cols
 
 
-def _report_json(report: CleaningReport, files: dict[str, str]) -> str:
+def _report_doc(report: CleaningReport, files: dict[str, str]) -> dict:
     cfg = report.config
     config = {
-        "emd": {
-            "s_number": cfg.emd.s_number,
-            "max_sift_iters": cfg.emd.max_sift_iters,
-            "max_imfs": cfg.emd.max_imfs,
-            "ensemble_size": cfg.emd.ensemble_size,
-            "noise_amplitude": float(cfg.emd.noise_amplitude),
-            "seed": cfg.emd.seed,
-        },
+        "emd": asdict(cfg.emd),
         "penalty": cfg.penalty.kind,
         "beta": float(cfg.penalty.beta),
         "min_seg_len": cfg.min_seg_len,
@@ -218,24 +186,22 @@ def _report_json(report: CleaningReport, files: dict[str, str]) -> str:
     segments = []
     for dec in report.decisions:
         t = dec.test
-        segments.append(
-            {
-                "imf": t.imf_index,
-                "start": t.seg_start,
-                "end": t.seg_end,
-                "s2_before": None if t.s2_before is None else float(t.s2_before),
-                "s2_during": float(t.s2_during),
-                "s2_after": None if t.s2_after is None else float(t.s2_after),
-                "n_before": t.n_before,
-                "n_during": t.n_during,
-                "n_after": t.n_after,
-                "f_stat": float(t.f_stat),
-                "p": float(t.p_value),
-                "holm_threshold": float(dec.holm_threshold),
-                "significant": dec.significant,
-            }
-        )
-    doc = {
+        segments.append({
+            "imf": t.imf_index,
+            "start": t.seg_start,
+            "end": t.seg_end,
+            "s2_before": None if t.s2_before is None else float(t.s2_before),
+            "s2_during": float(t.s2_during),
+            "s2_after": None if t.s2_after is None else float(t.s2_after),
+            "n_before": t.n_before,
+            "n_during": t.n_during,
+            "n_after": t.n_after,
+            "f_stat": float(t.f_stat),
+            "p": float(t.p_value),
+            "holm_threshold": float(dec.holm_threshold),
+            "significant": dec.significant,
+        })
+    return {
         "config": config,
         "changepoints": changepoints,
         "segments": segments,
@@ -243,7 +209,6 @@ def _report_json(report: CleaningReport, files: dict[str, str]) -> str:
         "diagnostics": list(report.diagnostics),
         "files": files,
     }
-    return _json_dumps(doc) + "\n"
 
 
 def _parse_config_file(path: str, allowed: set[str]) -> dict[str, str]:
@@ -387,31 +352,22 @@ def _workers() -> int:
 
 
 def _write_report_bundle(report: CleaningReport, out_dir: str) -> None:
-    d = report.decomposition
-    files = {
-        "cleaned": "cleaned.csv",
-        "cleaned_imfs": "cleaned_imfs.csv",
-        "changepoints": "changepoints.csv",
-        "imfs": "imfs.csv",
-        "amplitudes": "amplitudes.csv",
+    taus = np.array(
+        [(i + 1, tau) for i, cps in enumerate(report.changepoints) for tau in cps.taus], float
+    ).reshape(-1, 2)
+    # keyed like report.json's "files" map; each table is written to <key>.csv
+    tables = {
+        "cleaned": [("cleaned", report.cleaned_signal)],
+        "cleaned_imfs": [(f"imf{i+1}", c) for i, c in enumerate(report.cleaned_imfs)],
+        "changepoints": [("imf", taus[:, 0]), ("tau", taus[:, 1])],
+        "imfs": _decomposition_columns(report.decomposition),
+        "amplitudes": [(f"amp{i+1}", a) for i, a in enumerate(report.amplitudes)],
     }
-    _atomic_write(os.path.join(out_dir, "imfs.csv"), _matrix_csv(_decomposition_columns(d)))
-    _atomic_write(
-        os.path.join(out_dir, "amplitudes.csv"),
-        _matrix_csv([(f"amp{i+1}", a) for i, a in enumerate(report.amplitudes)]),
-    )
-    _atomic_write(
-        os.path.join(out_dir, "cleaned_imfs.csv"),
-        _matrix_csv([(f"imf{i+1}", c) for i, c in enumerate(report.cleaned_imfs)]),
-    )
-    _atomic_write(
-        os.path.join(out_dir, "cleaned.csv"), _matrix_csv([("cleaned", report.cleaned_signal)])
-    )
-    cp_lines = ["imf,tau"]
-    for i, cps in enumerate(report.changepoints):
-        cp_lines.extend(f"{i+1},{tau}" for tau in cps.taus)
-    _atomic_write(os.path.join(out_dir, "changepoints.csv"), "\n".join(cp_lines) + "\n")
-    _atomic_write(os.path.join(out_dir, "report.json"), _report_json(report, files))
+    files = {key: f"{key}.csv" for key in tables}
+    for key, columns in tables.items():
+        _atomic_write(os.path.join(out_dir, files[key]), _matrix_csv(columns))
+    doc = _report_doc(report, files)
+    _atomic_write(os.path.join(out_dir, "report.json"), chain(_JSON.iterencode(doc), ["\n"]))
 
 
 def _cmd_decompose(args) -> int:
@@ -445,18 +401,37 @@ def _cmd_sweep_gamma(args) -> int:
         raise UsageError(f"cannot parse --gammas {args.gammas!r}") from None
     if not gammas:
         raise UsageError("--gammas must list at least one value")
-    try:
-        for g in gammas:
+    out_dirs = [os.path.join(args.out_dir, f"gamma-{g:g}") for g in gammas]
+    for i, g in enumerate(gammas):
+        try:
             replace(config, gamma=g)  # LcdscConfig owns the gamma rule
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        first = out_dirs.index(out_dirs[i])
+        if first < i:
+            raise UsageError(f"gammas {gammas[first]!r} and {g!r} would both write {out_dirs[i]}")
     reports = gamma_sweep(series, gammas, config, workers=_workers())
-    for gamma, report in zip(gammas, reports):
-        _write_report_bundle(report, os.path.join(args.out_dir, f"gamma-{gamma:g}"))
+    for out_dir, report in zip(out_dirs, reports):
+        _write_report_bundle(report, out_dir)
     return 0
 
 
+# simulate's per-kind flags: dest -> (type, the kinds that read it)
+_SIMULATE_FLAGS = {
+    "T": (int, ("doppler", "chirp")),
+    "a_start": (int, ("doppler",)),
+    "a_end": (int, ("doppler",)),
+    "f0": (float, ("chirp",)),
+    "f1": (float, ("chirp",)),
+    "delta": (int, ("double",)),
+}
+
+
 def _cmd_simulate(args) -> int:
+    stray = [f"--{dest.replace('_', '-')}" for dest, (_, kinds) in _SIMULATE_FLAGS.items()
+             if args.kind not in kinds and getattr(args, dest) is not None]
+    if stray:
+        raise UsageError(f"simulate {args.kind} does not take {', '.join(stray)}")
     seed = args.seed if args.seed is not None else 0
     sigma = args.sigma if args.sigma is not None else 0.2
     meta: dict = {"kind": args.kind, "sigma": float(sigma), "seed": seed}
@@ -483,13 +458,9 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     t = np.arange(len(noisy)) * noisy.dt
-    _atomic_write(
-        os.path.join(args.out, "noisy.csv"), _matrix_csv([("t", t), ("value", noisy.samples)])
-    )
-    _atomic_write(
-        os.path.join(args.out, "truth.csv"), _matrix_csv([("t", t), ("value", truth)])
-    )
-    _atomic_write(os.path.join(args.out, "meta.json"), _json_dumps(meta) + "\n")
+    for name, values in (("noisy.csv", noisy.samples), ("truth.csv", truth)):
+        _atomic_write(os.path.join(args.out, name), _matrix_csv([("t", t), ("value", values)]))
+    _atomic_write(os.path.join(args.out, "meta.json"), chain(_JSON.iterencode(meta), ["\n"]))
     return 0
 
 
@@ -508,10 +479,15 @@ def _parse_grid_file(path: str) -> list[tuple[int, float, float]]:
         except ValueError:
             raise UsageError(f"grid key {key!r}: cannot parse {lowered[key]!r}") from None
 
-    t_lens = values("t", int, [2500])
-    sigmas = values("sigma", float, [0.2])
-    localities = values("locality", float, [0.25])
-    return [(t, s, r) for t in t_lens for s in sigmas for r in localities]
+    grid = doppler_grid(
+        values("t", int, [2500]), values("sigma", float, [0.2]), values("locality", float, [0.25])
+    )
+    for cell in grid:
+        try:
+            grid_spec(cell)  # the simulation's and the decomposition's rules for one cell
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from None
+    return grid
 
 
 def _cmd_bench(args) -> int:
@@ -529,7 +505,7 @@ def _cmd_bench(args) -> int:
     results = run_benchmark(
         methods, grid, args.replicates, config.emd.seed, config=config, workers=_workers(),
     )
-    _atomic_write(args.out, bench_table(results, timing=args.timing))
+    _atomic_write(args.out, [bench_table(results, timing=args.timing)])
     return 0
 
 
@@ -564,14 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic test recording")
     p.add_argument("kind", choices=("doppler", "chirp", "double"))
     p.add_argument("--out", required=True, help="output directory (noisy.csv, truth.csv, meta.json)")
-    p.add_argument("--T", type=int, default=None)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--a-start", type=int, default=None)
-    p.add_argument("--a-end", type=int, default=None)
-    p.add_argument("--f0", type=float, default=None)
-    p.add_argument("--f1", type=float, default=None)
-    p.add_argument("--delta", type=int, default=None)
+    for dest, (parse, kinds) in _SIMULATE_FLAGS.items():
+        p.add_argument(f"--{dest.replace('_', '-')}", type=parse, help="/".join(kinds) + " only")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bench", help="score cleaning methods on simulated grids")

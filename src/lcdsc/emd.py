@@ -31,6 +31,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 _SEED_MASK = 2**64 - 1
+_MIN_SAMPLES = 4  # shortest series the decomposition accepts
 
 
 class MonotonicComponent(ValueError):
@@ -311,8 +312,8 @@ def _coerce_series(series) -> TimeSeries:
 
 
 def _validate_input(x: np.ndarray) -> None:
-    if x.size < 4:
-        raise ValueError("series too short: decomposition needs at least 4 samples")
+    if x.size < _MIN_SAMPLES:
+        raise ValueError(f"series too short: decomposition needs at least {_MIN_SAMPLES} samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("invalid samples: input contains non-finite values")
 

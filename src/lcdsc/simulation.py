@@ -10,12 +10,13 @@ squares against the known truth.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emd import TimeSeries, _as_1d_float, _SEED_MASK, eemd
+from .emd import TimeSeries, _as_1d_float, _MIN_SAMPLES, _SEED_MASK, eemd
 
 METHOD_NAMES = ("lcdsc", "khigh", "llow", "band", "powerset", "wht", "wit", "none")
 
@@ -34,8 +35,8 @@ class LocalSignalSpec:
     def __post_init__(self):
         if not 0 <= self.a_start <= self.a_end < self.total_len:
             raise ValueError("active interval must satisfy 0 <= a_start <= a_end < total_len")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,10 @@ def chirp(t_len: int, f0: float, f1: float, sigma: float = 0.0, seed: int = 0, d
     """Unit-amplitude linear chirp sweeping f0 to f1, plus white noise."""
     if t_len < 4:
         raise ValueError("chirp needs at least 4 samples")
-    if max(abs(f0), abs(f1)) > 0.5 / dt:
-        raise ValueError("chirp frequency exceeds the Nyquist limit")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (abs(f0) <= 0.5 / dt and abs(f1) <= 0.5 / dt):
+        raise ValueError("chirp frequencies must be numbers within the Nyquist limit")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     t = np.arange(t_len) * dt
     duration = t_len * dt
     phase = 2.0 * np.pi * (f0 * t + (f1 - f0) * t * t / (2.0 * duration))
@@ -110,8 +111,8 @@ def double_doppler(
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     n = 2000 + delta
     a1 = (500, 1000)
     a2 = (1000 + delta, 1500 + delta)
@@ -170,15 +171,25 @@ def instance_seed(base_seed: int, cell_index: int, replicate: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def grid_spec(cell: tuple[int, float, float], seed: int = 0) -> LocalSignalSpec:
+    """The local-burst spec of one ``(T, sigma, locality)`` grid cell.
+
+    Raises ``ValueError`` naming the key of a cell that cannot be run.
+    """
+    t_len, sigma, ratio = cell
+    if t_len < _MIN_SAMPLES:
+        raise ValueError(f"T = {t_len}: the decomposition needs at least {_MIN_SAMPLES} samples")
+    share = t_len * ratio / (1.0 + ratio) if ratio > 0 else 0.0  # nan or inf if ratio is huge
+    length = int(round(share)) if math.isfinite(share) else 0
+    if not 0 < length < t_len:
+        raise ValueError(f"locality = {ratio:g} leaves no room for signal or noise")
+    a_start = (t_len - length) // 2
+    return LocalSignalSpec(t_len, a_start, a_start + length, sigma, seed)
+
+
 def grid_instance(cell: tuple[int, float, float], seed: int):
     """Build the local-burst instance for one grid cell."""
-    t_len, sigma, ratio = cell
-    length = int(round(t_len * ratio / (1.0 + ratio)))
-    if not 0 < length < t_len:
-        raise ValueError("locality ratio leaves no room for signal or noise")
-    a_start = (t_len - length) // 2
-    spec = LocalSignalSpec(t_len, a_start, a_start + length, sigma, seed)
-    return local_doppler(spec)
+    return local_doppler(grid_spec(cell, seed))
 
 
 def run_benchmark(

@@ -1,12 +1,13 @@
 import json
 import os
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from lcdsc import LcdscConfig
-from lcdsc.cli import _fmt_float, _json_dumps, _matrix_csv, ingest, main
+from lcdsc.cli import _atomic_write, _matrix_csv, ingest, main
 
 
 def run_cli(*args, env=None):
@@ -88,6 +89,14 @@ class TestIngest:
         assert code == 2
 
 
+def _fmt_float(value: float) -> str:
+    if value != value:
+        return "nan"
+    if value in (float("inf"), float("-inf")):
+        return "1e999" if value > 0 else "-1e999"
+    return format(value, ".17g")
+
+
 def per_cell_csv(columns):
     """Reference for ``_matrix_csv``: one ``_fmt_float`` call per cell."""
     lines = [",".join(name for name, _ in columns)]
@@ -110,12 +119,47 @@ class TestMatrixCsv:
             ("wide", rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)),
             ("unit", rng.normal(size=n)),
         ]
-        assert _matrix_csv(columns) == per_cell_csv(columns)
+        assert "".join(_matrix_csv(columns)) == per_cell_csv(columns)
 
     def test_zero_rows_and_zero_columns(self):
         columns = [("a", np.zeros(0)), ("b", np.zeros(0))]
-        assert _matrix_csv(columns) == per_cell_csv(columns) == "a,b\n"
-        assert _matrix_csv([]) == per_cell_csv([]) == "\n"
+        assert "".join(_matrix_csv(columns)) == per_cell_csv(columns) == "a,b\n"
+        assert "".join(_matrix_csv([])) == per_cell_csv([]) == "\n"
+
+
+class TestAtomicWrite:
+    def test_matrix_streams_in_bounded_memory(self, tmp_path):
+        rng = np.random.default_rng(0)
+        columns = [(f"c{j}", rng.normal(size=20000)) for j in range(15)]
+        path = tmp_path / "m.csv"
+        tracemalloc.start()
+        try:
+            _atomic_write(str(path), _matrix_csv(columns))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 5_000_000
+        assert peak < size / 2, (peak, size)
+
+    def test_failing_chunk_source_leaves_nothing(self, tmp_path):
+        def chunks():
+            yield "a,b\n"
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            _atomic_write(str(tmp_path / "x.csv"), chunks())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["clean", "decompose"])
+    def test_out_dir_naming_a_file_is_data_error(self, sim_dir, tmp_path, capsys, command):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert run_cli(command, str(sim_dir / "noisy.csv"), "--out-dir", str(blocker),
+                       "--ensemble-size", "2") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("lcdsc: data error: "), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 class TestSimulate:
@@ -139,6 +183,31 @@ class TestSimulate:
     def test_invalid_parameters(self, tmp_path):
         assert run_cli("simulate", "chirp", "--T", "300", "--f0", "0.9",
                        "--out", str(tmp_path / "c")) == 1
+
+    @pytest.mark.parametrize("args", [
+        ("doppler", "--sigma", "nan"),
+        ("doppler", "--sigma", "inf"),
+        ("chirp", "--f0", "nan"),
+        ("chirp", "--f1", "nan"),
+        ("double", "--sigma", "nan"),
+    ], ids=lambda args: " ".join(args))
+    def test_parameter_without_finite_recording_is_usage_error(self, tmp_path, args):
+        assert run_cli("simulate", *args, "--out", str(tmp_path / "s")) == 1
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("args", [
+        ("doppler", "--delta", "5"),
+        ("chirp", "--a-start", "3"),
+        ("double", "--T", "900"),
+    ], ids=lambda args: " ".join(args))
+    def test_flag_of_another_kind_is_usage_error(self, tmp_path, capsys, args):
+        assert run_cli("simulate", *args, "--out", str(tmp_path / "s")) == 1
+        assert args[1] in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_options_before_the_kind(self, tmp_path):
+        assert run_cli("simulate", "--out", str(tmp_path / "s"), "--T", "300", "chirp") == 0
+        assert len(ingest(str(tmp_path / "s" / "noisy.csv"))) == 300
 
 
 class TestDecompose:
@@ -176,7 +245,7 @@ class TestClean:
         raw = (out / "report.json").read_text()
         doc = json.loads(raw)
         assert set(doc) == {"config", "changepoints", "segments", "eta", "diagnostics", "files"}
-        assert _json_dumps(doc) + "\n" == raw
+        assert json.dumps(doc, indent=2) + "\n" == raw
         for seg in doc["segments"]:
             assert set(seg) == {
                 "imf", "start", "end", "s2_before", "s2_during", "s2_after",
@@ -289,6 +358,18 @@ class TestSweepGamma:
         assert run_cli("sweep-gamma", str(sim_dir / "noisy.csv"), "--gammas", "1,nan",
                        "--out-dir", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("gammas, named", [
+        ("1.0000001,1.0000002", ("1.0000001", "1.0000002")),
+        ("1,2,1", ("1.0", "1.0")),
+    ])
+    def test_gammas_sharing_a_directory_are_usage_error(self, sim_dir, tmp_path, capsys,
+                                                         gammas, named):
+        assert run_cli("sweep-gamma", str(sim_dir / "noisy.csv"), "--gammas", gammas,
+                       "--out-dir", str(tmp_path / "x"), "--ensemble-size", "2") == 1
+        err = capsys.readouterr().err
+        assert f"gammas {named[0]} and {named[1]} " in err, err
+        assert not (tmp_path / "x").exists()
+
 
 class TestBench:
     def test_grid_run_and_determinism(self, tmp_path):
@@ -338,6 +419,24 @@ class TestBench:
         grid.write_text("T = 400\nsigma = 0.3\n")
         assert run_cli("bench", "--grid", str(grid), "--methods", "none",
                        "--replicates", "0", "--out", str(tmp_path / "c.csv")) == 1
+
+    @pytest.mark.parametrize("line, key", [
+        ("T = 3", "T"),
+        ("sigma = -1", "sigma"),
+        ("sigma = nan", "sigma"),
+        ("locality = 0", "locality"),
+        ("locality = inf", "locality"),
+        ("locality = 1e308", "locality"),
+        ("locality = -1", "locality"),
+    ])
+    def test_grid_value_that_cannot_run_is_usage_error(self, tmp_path, capsys, line, key):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(line + "\n")
+        assert run_cli("bench", "--grid", str(grid), "--methods", "none",
+                       "--out", str(tmp_path / "c.csv")) == 1
+        err = capsys.readouterr().err
+        assert key in err.split(str(grid), 1)[1], err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_unknown_grid_key(self, tmp_path):
         grid = tmp_path / "grid.cfg"
