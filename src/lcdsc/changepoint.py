@@ -3,17 +3,11 @@
 Segments a series under the Gaussian variance likelihood cost
 ``n_seg * log(max(var, var_floor))`` (biased MLE variance about the
 segment mean) plus a model-selection penalty, and returns the global
-minimizer via the optimal-partitioning recursion, exact up to rounding
-ties.  Candidate starts are pruned PELT-style; the pruning rules below
-are conservative enough that the optimum is never changed:
-
-* candidates are only dropped ``min_seg_len`` steps after they are first
-  dominated, which closes the gap left by the minimum-length constraint;
-* the modified-BIC segment term ``log(len)`` breaks plain cost
-  subadditivity by at most ``log(n/4)``, so that slack is folded into the
-  domination test;
-* pruning is disabled outright when any admissible window could hit the
-  variance floor, where the subadditivity argument no longer applies.
+minimizer via the optimal-partitioning recursion (Jackson et al. 2005),
+exact up to rounding ties.  Every admissible start of the last segment is
+scanned at every step, with no pruning, so a series of ``n`` samples
+costs O(n^2) time and O(n) memory whether or not it has changes.  In the
+cleaning pipeline the series is one IMF's per-cycle amplitude.
 
 Ties are broken toward fewer change points, then the lexicographically
 smallest change-point vector.
@@ -144,19 +138,6 @@ def _objective(
     return total + penalty_scale * penalty_value(penalty, len(taus), n, lengths)
 
 
-def _pruning_safe(stats: SegStats, min_seg_len: int) -> bool:
-    # Certify that no admissible segment can hit the variance floor: every
-    # admissible segment contains a full window of length min_seg_len, and
-    # parent variance >= (window_len / parent_len) * window variance.
-    ps, pq = stats.prefix_sum, stats.prefix_sumsq
-    w = min_seg_len
-    sums = ps[w:] - ps[:-w]
-    sumsq = pq[w:] - pq[:-w]
-    mean = sums / w
-    window_var = sumsq / w - mean * mean
-    return float(window_var.min()) * w >= stats.var_floor * stats.n
-
-
 def _taus_ending_at(prev: np.ndarray, s: int) -> tuple[int, ...]:
     """Change points of every split whose last segment starts at ``s``: those
     of the best split of ``[0, s)`` (walked back through ``prev``), then ``s - 1``."""
@@ -171,6 +152,10 @@ def detect_changepoints(
     series, penalty: Penalty, min_seg_len: int = 10, penalty_scale: float = 1.0
 ) -> ChangePointSet:
     """Minimizer of segment costs plus penalty over all segmentations.
+
+    Plain optimal partitioning: for each end every admissible start of
+    the last segment is scanned, so the work is O(n^2) in the series
+    length ``n`` whether or not the series has changes.
 
     Exact up to rounding ties: the recursion adds costs in another order
     than ``total_cost`` sums them, so of two splits whose costs tie to
@@ -213,31 +198,16 @@ def detect_changepoints(
     else:
         per_change = 3.0 * math.log(n)
     per_change *= penalty_scale
-    prune_slack = -penalty_scale * math.log(n / 4.0) if mbic else 0.0
-    prune = _pruning_safe(stats, msl)
 
-    never = np.iinfo(np.intp).max
-    cand = np.empty(n + 1, dtype=np.intp)  # live candidate starts, ascending
-    n_cand = 0
-    expiry = np.full(n + 1, never, dtype=np.intp)  # step at which a start is dropped
+    # admissible starts of a last segment ending before t are 0 and
+    # msl..t-msl, the first 1 + max(0, t - 2*msl + 1) entries of this array
+    all_starts = np.concatenate(([0], np.arange(msl, n - msl + 1))).astype(np.intp)
     f_best = np.empty(n + 1)
     f_best[0] = -per_change
     prev = np.zeros(n + 1, dtype=np.intp)  # start of the last segment of the best [0, t)
 
     for t in range(msl, n + 1):
-        s_new = t - msl
-        if s_new == 0 or s_new >= msl:
-            cand[n_cand] = s_new
-            n_cand += 1
-
-        starts = cand[:n_cand]
-        expires = expiry[starts]
-        alive = expires > t
-        if not alive.all():
-            n_cand = int(np.count_nonzero(alive))
-            cand[:n_cand] = starts[alive]
-            starts, expires = cand[:n_cand], expires[alive]
-
+        starts = all_starts[: max(1, t - 2 * msl + 2)]
         lengths = (t - starts).astype(float)
         sums = ps[t] - ps[starts]
         sumsq = pq[t] - pq[starts]
@@ -258,11 +228,6 @@ def detect_changepoints(
             best_pos = int(ties[keys.index(min(keys))])
         f_best[t] = best
         prev[t] = starts[best_pos]
-
-        if prune:
-            dominated = (vals - per_change + prune_slack > best) & (expires == never)
-            if dominated.any():
-                expiry[starts[dominated]] = t + msl
 
     taus = _taus_ending_at(prev, int(prev[n]))
     return ChangePointSet(

@@ -76,6 +76,8 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
             content = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     lines = [ln for ln in content.splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
@@ -217,6 +219,8 @@ def _parse_config_file(path: str, allowed: set[str]) -> dict[str, str]:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     out: dict[str, str] = {}
     for i, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

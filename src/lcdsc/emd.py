@@ -363,7 +363,8 @@ def eemd(series, config: EmdConfig | None = None, workers: int = 1) -> Decomposi
     Huang 2009); trials that produced fewer IMFs contribute zeros at the
     missing indices.  The residual closes the decomposition: it is the
     input minus the ensembled IMFs, so the additive identity is preserved
-    exactly.
+    exactly.  Finite samples whose sample variance overflows (beyond about
+    1e154 in magnitude) leave no noise scale and raise ``ValueError``.
 
     Trials are added into per-index running sums in trial order (the
     thread pool's results are taken in order too), so the mean matches
@@ -376,7 +377,11 @@ def eemd(series, config: EmdConfig | None = None, workers: int = 1) -> Decomposi
     ts = _coerce_series(series)
     x = ts.samples
     _validate_input(x)
-    scale = config.noise_amplitude * float(np.std(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(np.std(x))
+    if not math.isfinite(std):
+        raise ValueError("invalid samples: the sample variance overflows")
+    scale = config.noise_amplitude * std
     seed = config.seed & _SEED_MASK
 
     def run_trial(k: int) -> Decomposition:

@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -87,6 +88,71 @@ class TestIngest:
     def test_missing_file(self, tmp_path):
         code = run_cli("decompose", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path / "o"))
         assert code == 2
+
+
+def _csv_bytes(values, newline="\n") -> bytes:
+    rows = ["t,value"] + [f"{i},{float(v)!r}" for i, v in enumerate(values)]
+    return "".join(row + newline for row in rows).encode()
+
+
+_SINE = np.sin(np.arange(200) / 3.0) + 0.1 * (np.arange(200) * 7 % 5)
+_HOSTILE_INPUTS = {
+    "nan": (b"t,value\n0,1\n1,nan\n2,3\n3,1\n", 2),
+    "inf": (b"t,value\n0,1\n1,-inf\n2,3\n3,1\n", 2),
+    "one-row": (b"t,value\n0,1\n", 2),
+    "header-only": (b"t,value\n", 2),
+    "not-utf8": (b"t,value\n0,1\n1,\xff\xfe\n", 2),
+    "crlf": (_csv_bytes(_SINE, "\r\n"), 0),
+    "constant": (_csv_bytes(np.full(200, 2.5)), 0),
+    "n4": (b"t,value\n0,1\n1,-1\n2,2\n3,0\n", 0),
+    "1e300": (_csv_bytes(np.random.default_rng(0).normal(0, 1, 100) * 1e300), 3),
+}
+_HOSTILE_CONFIGS = {
+    "nan-gamma": (b"gamma = nan\n", 1),
+    "no-equals": (b"gamma 2\n", 1),
+    "unknown-key": (b"min_seg_len = 3\n", 1),
+    "unparsable": (b"ensemble_size = 2.5\n", 1),
+    "not-utf8": (b"\xff\xfe = 3\n", 2),
+    "crlf": (b"gamma = 2\r\nensemble_size = 2\r\n", 0),
+}
+
+
+class TestExitCodeContract:
+    """Hostile input and config files end with their documented exit code, one
+    ``lcdsc:`` line for a failure, and no traceback or warning."""
+
+    @staticmethod
+    def run_clean(tmp_path, capsys, data: bytes, config: bytes | None = None):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        args = ["clean", str(path), "--out-dir", str(tmp_path / "o")]
+        if config is None:
+            args += ["--ensemble-size", "2"]
+        else:
+            (tmp_path / "run.cfg").write_bytes(config)
+            args += ["--config", str(tmp_path / "run.cfg")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*args)
+        return code, capsys.readouterr().err.splitlines()
+
+    @staticmethod
+    def check(code, err, want):
+        assert code == want, err
+        if code:
+            assert len(err) == 1 and err[0].startswith("lcdsc: "), err
+        else:
+            assert err == []
+
+    @pytest.mark.parametrize("name", list(_HOSTILE_INPUTS))
+    def test_input(self, tmp_path, capsys, name):
+        data, want = _HOSTILE_INPUTS[name]
+        self.check(*self.run_clean(tmp_path, capsys, data), want)
+
+    @pytest.mark.parametrize("name", list(_HOSTILE_CONFIGS))
+    def test_config_file(self, tmp_path, capsys, name):
+        config, want = _HOSTILE_CONFIGS[name]
+        self.check(*self.run_clean(tmp_path, capsys, _csv_bytes(_SINE), config), want)
 
 
 def _fmt_float(value: float) -> str:

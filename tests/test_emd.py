@@ -1,7 +1,10 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dgtsv
 
 from lcdsc import (
@@ -303,6 +306,44 @@ class TestEemd:
         d = eemd(x, EmdConfig(ensemble_size=4, seed=2))
         err = np.max(np.abs(x - reconstruct(d)))
         assert err < 1e-9 * (x.max() - x.min())
+
+    @pytest.mark.parametrize(
+        "cfg", [EmdConfig(ensemble_size=4), EmdConfig(ensemble_size=1, noise_amplitude=0.0)]
+    )
+    def test_variance_overflow_is_named(self, cfg):
+        # finite samples whose squares overflow: the noise scale cannot be formed
+        x = np.random.default_rng(6).normal(0, 1, 100) * 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sample variance overflows"):
+                eemd(x, cfg)
+
+
+@st.composite
+def finite_series(draw):
+    """Finite series of at least 4 samples: constant runs of small integers or
+    bounded floats."""
+    value = st.one_of(st.integers(-5, 5).map(float), st.floats(-1e6, 1e6))
+    runs = draw(st.lists(st.tuples(value, st.integers(1, 12)), min_size=1, max_size=40))
+    x = np.repeat([v for v, _ in runs], [k for _, k in runs])
+    return np.resize(x, max(4, x.size))
+
+
+class TestAdditiveIdentityProperty:
+    @staticmethod
+    def assert_reconstructs(x, d):
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(x))))
+        assert np.max(np.abs(reconstruct(d) - x)) <= tol
+
+    @settings(deadline=None, max_examples=60)
+    @given(finite_series())
+    def test_emd(self, x):
+        self.assert_reconstructs(x, emd(x))
+
+    @settings(deadline=None, max_examples=40)
+    @given(finite_series(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_eemd(self, x, trials, seed):
+        self.assert_reconstructs(x, eemd(x, EmdConfig(ensemble_size=trials, seed=seed)))
 
 
 def stacked_mean_eemd(x, cfg):
