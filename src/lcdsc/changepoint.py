@@ -200,34 +200,51 @@ def detect_changepoints(
     per_change *= penalty_scale
 
     # admissible starts of a last segment ending before t are 0 and
-    # msl..t-msl, the first 1 + max(0, t - 2*msl + 1) entries of this array
+    # msl..t-msl, the first 1 + max(0, t - 2*msl + 1) entries of this array;
+    # every per-start quantity below is laid out the same way, so each step
+    # reads prefix views and gathers nothing
     all_starts = np.concatenate(([0], np.arange(msl, n - msl + 1))).astype(np.intp)
-    f_best = np.empty(n + 1)
-    f_best[0] = -per_change
+    start_f = all_starts.astype(float)
+    ps_start = ps[all_starts]
+    pq_start = pq[all_starts]
+    f_start = np.empty(all_starts.size)  # best value of [0, s) at each start s
+    f_start[0] = -per_change
+    if mbic:
+        # penalty_scale * log(length) for lengths msl..n; at step t the starts
+        # msl..t-msl have lengths t-msl..msl, the reversed first t-2*msl+1 entries
+        log_len = penalty_scale * np.log(np.arange(msl, n + 1, dtype=float))
     prev = np.zeros(n + 1, dtype=np.intp)  # start of the last segment of the best [0, t)
+    buf_len, buf_mean, buf_vals = np.empty((3, all_starts.size))
 
     for t in range(msl, n + 1):
-        starts = all_starts[: max(1, t - 2 * msl + 2)]
-        lengths = (t - starts).astype(float)
-        sums = ps[t] - ps[starts]
-        sumsq = pq[t] - pq[starts]
-        mean = sums / lengths
-        var = sumsq / lengths - mean * mean
+        n_starts = max(1, t - 2 * msl + 2)
+        lengths = np.subtract(t, start_f[:n_starts], out=buf_len[:n_starts])
+        mean = np.subtract(ps[t], ps_start[:n_starts], out=buf_mean[:n_starts])
+        mean /= lengths
+        var = np.subtract(pq[t], pq_start[:n_starts], out=buf_vals[:n_starts])
+        var /= lengths
+        mean *= mean
+        var -= mean
         np.maximum(var, floor, out=var)
-        costs = lengths * np.log(var)
+        vals = np.log(var, out=var)
+        vals *= lengths  # the segment costs
         if mbic:
-            costs += penalty_scale * np.log(lengths)
-        vals = f_best[starts] + costs + per_change
+            vals[0] += log_len[t - msl]
+            if n_starts > 1:
+                vals[1:] += log_len[t - 2 * msl :: -1]
+        np.add(f_start[:n_starts], vals, out=vals)
+        vals += per_change
 
         best_pos = int(np.argmin(vals))
         best = float(vals[best_pos])
         ties = np.flatnonzero(vals == best)
         if ties.size > 1:
             # prefer fewer change points, then the smallest tau vector
-            keys = [(len(k), k) for k in (_taus_ending_at(prev, int(starts[p])) for p in ties)]
+            keys = [(len(k), k) for k in (_taus_ending_at(prev, int(all_starts[p])) for p in ties)]
             best_pos = int(ties[keys.index(min(keys))])
-        f_best[t] = best
-        prev[t] = starts[best_pos]
+        if t <= n - msl:
+            f_start[t - msl + 1] = best
+        prev[t] = all_starts[best_pos]
 
     taus = _taus_ending_at(prev, int(prev[n]))
     return ChangePointSet(

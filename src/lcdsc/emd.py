@@ -364,7 +364,9 @@ def eemd(series, config: EmdConfig | None = None, workers: int = 1) -> Decomposi
     missing indices.  The residual closes the decomposition: it is the
     input minus the ensembled IMFs, so the additive identity is preserved
     exactly.  Finite samples whose sample variance overflows (beyond about
-    1e154 in magnitude) leave no noise scale and raise ``ValueError``.
+    1e154 in magnitude) leave no noise scale and raise ``ValueError``, and
+    so does a noise scale whose variance overflows (a scale beyond about
+    1e154, say from a huge ``noise_amplitude``), before any trial runs.
 
     Trials are added into per-index running sums in trial order (the
     thread pool's results are taken in order too), so the mean matches
@@ -372,6 +374,8 @@ def eemd(series, config: EmdConfig | None = None, workers: int = 1) -> Decomposi
     ``workers=1`` memory is O(width * n) for any ``ensemble_size``; with
     a pool, trials that finish ahead of the slowest unconsumed one wait
     in memory until it is added, so the worst case is O(K * width * n).
+    The pool is reachable only through this ``workers`` parameter of the
+    library; the command line runs every trial on the calling thread.
     """
     config = config or EmdConfig()
     ts = _coerce_series(series)
@@ -382,6 +386,9 @@ def eemd(series, config: EmdConfig | None = None, workers: int = 1) -> Decomposi
     if not math.isfinite(std):
         raise ValueError("invalid samples: the sample variance overflows")
     scale = config.noise_amplitude * std
+    if not math.isfinite(scale * scale):
+        raise ValueError(f"noise scale {scale:.3g} (noise_amplitude * std) overflows: "
+                         "its variance is not a finite float")
     seed = config.seed & _SEED_MASK
 
     def run_trial(k: int) -> Decomposition:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import tracemalloc
@@ -114,6 +115,7 @@ _HOSTILE_CONFIGS = {
     "unparsable": (b"ensemble_size = 2.5\n", 1),
     "not-utf8": (b"\xff\xfe = 3\n", 2),
     "crlf": (b"gamma = 2\r\nensemble_size = 2\r\n", 0),
+    "huge-noise": (b"noise_amplitude = 1e308\n", 3),
 }
 
 
@@ -298,11 +300,20 @@ class TestClean:
     def test_outputs_and_reruns_byte_identical(self, sim_dir, tmp_path):
         args = ("clean", str(sim_dir / "noisy.csv"), "--ensemble-size", "6", "--seed", "5")
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert run_cli(*args, "--out-dir", str(out1), env={"LCDSC_THREADS": "1"}) == 0
-        assert run_cli(*args, "--out-dir", str(out2), env={"LCDSC_THREADS": "4"}) == 0
+        assert run_cli(*args, "--out-dir", str(out1)) == 0
+        assert run_cli(*args, "--out-dir", str(out2)) == 0
         for name in ("report.json", "cleaned.csv", "cleaned_imfs.csv",
                      "changepoints.csv", "imfs.csv", "amplitudes.csv"):
             assert read(out1 / name) == read(out2 / name), name
+
+    def test_runs_ensemble_on_calling_thread(self, sim_dir, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the CLI started a worker thread pool")
+
+        # lcdsc.emd names the function; the module comes from the import system
+        monkeypatch.setattr(importlib.import_module("lcdsc.emd"), "ThreadPoolExecutor", no_pool)
+        assert run_cli("clean", str(sim_dir / "noisy.csv"), "--out-dir", str(tmp_path / "o"),
+                       "--ensemble-size", "3", "--seed", "5", env={"LCDSC_THREADS": "4"}) == 0
 
     def test_report_schema_and_round_trip(self, sim_dir, tmp_path):
         out = tmp_path / "rep"
@@ -444,8 +455,8 @@ class TestBench:
         args = ("bench", "--grid", str(grid), "--methods", "lcdsc,none,wht",
                 "--replicates", "2", "--seed", "7", "--ensemble-size", "4")
         out1, out2 = tmp_path / "b1.csv", tmp_path / "b2.csv"
-        assert run_cli(*args, "--out", str(out1), env={"LCDSC_THREADS": "1"}) == 0
-        assert run_cli(*args, "--out", str(out2), env={"LCDSC_THREADS": "3"}) == 0
+        assert run_cli(*args, "--out", str(out1)) == 0
+        assert run_cli(*args, "--out", str(out2)) == 0
         assert read(out1) == read(out2)
         lines = out1.read_text().strip().splitlines()
         assert lines[0] == "T,sigma,param,method,replicate,rss,seconds"
