@@ -75,8 +75,8 @@ class LcdscConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.gamma >= 1:
-            raise ValueError("gamma must be at least 1")
+        if not 1 <= self.gamma < math.inf:
+            raise ValueError("gamma must be at least 1 and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if not self.min_seg_len >= 2:
@@ -111,7 +111,7 @@ class _ImfAnalysis:
     segments: tuple[tuple[int, int, float, int], ...]
 
 
-def clean_imf(imf, amplitude, cps: ChangePointSet, decisions) -> np.ndarray:
+def clean_imf(imf, cps: ChangePointSet, decisions) -> np.ndarray:
     """Zero every segment not flagged significant.
 
     Significant segments are copied verbatim; with no change points the
@@ -119,9 +119,6 @@ def clean_imf(imf, amplitude, cps: ChangePointSet, decisions) -> np.ndarray:
     induced by ``cps`` in order.
     """
     x = _as_1d_float(imf, "imf")
-    amp = _as_1d_float(amplitude, "amplitude")
-    if x.size != amp.size:
-        raise ValueError("imf and amplitude lengths differ")
     out = np.zeros_like(x)
     if not cps.taus:
         return out
@@ -229,7 +226,7 @@ def _testing_stage(
         per_imf[decision.test.imf_index - 1].append(decision)
 
     cleaned_imfs = tuple(
-        _frozen_copy(clean_imf(imf.samples, analysis.amplitude, analysis.changepoints, decs))
+        _frozen_copy(clean_imf(imf.samples, analysis.changepoints, decs))
         for imf, analysis, decs in zip(d.imfs, analyses, per_imf)
     )
     cleaned = np.sum(np.stack(cleaned_imfs), axis=0) if cleaned_imfs else np.zeros(n)
@@ -266,18 +263,19 @@ def lcdsc_clean(series, config: LcdscConfig | None = None, workers: int = 1) -> 
     config : LcdscConfig, optional
         Pipeline settings; defaults follow the module defaults.
     workers : int, optional
-        Worker threads for the decomposition ensemble (results are
-        identical for any worker count).
+        Must be 1: the decomposition ensemble runs on the calling thread.
+        The parameter stays only until the benchmark stops passing it.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}: the ensemble runs on "
+                         "the calling thread")
     config = config or LcdscConfig()
     ts = _coerce_series(series)
-    d = eemd(ts, config.emd, workers=workers)
+    d = eemd(ts, config.emd)
     return clean_decomposition(d, config)
 
 
-def gamma_sweep(
-    series, gammas, config: LcdscConfig | None = None, workers: int = 1
-) -> list[CleaningReport]:
+def gamma_sweep(series, gammas, config: LcdscConfig | None = None) -> list[CleaningReport]:
     """Clean once per gamma, reusing one decomposition and one segment table per IMF.
 
     Only the testing stage depends on gamma, so larger values can only
@@ -289,6 +287,6 @@ def gamma_sweep(
     if not configs:
         raise ValueError("gammas must be nonempty")
     ts = _coerce_series(series)
-    d = eemd(ts, config.emd, workers=workers)
+    d = eemd(ts, config.emd)
     analyses, diagnostics = _detect_stage(d, config)
     return [_testing_stage(d, analyses, diagnostics, c) for c in configs]

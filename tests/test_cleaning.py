@@ -18,6 +18,7 @@ from lcdsc import (
     gamma_sweep,
     lcdsc_clean,
     local_doppler,
+    run_benchmark,
 )
 
 FAST_EMD = EmdConfig(ensemble_size=6, seed=0)
@@ -35,7 +36,7 @@ class TestCleanImf:
     def test_no_change_points_zeroes_everything(self):
         x = np.random.default_rng(0).normal(0, 1, 60)
         cps = ChangePointSet((), 0.0, Penalty.mbic(), 5)
-        out = clean_imf(x, np.abs(x), cps, [])
+        out = clean_imf(x, cps, [])
         assert np.all(out == 0)
 
     def test_one_significant_segment_kept_verbatim(self):
@@ -46,7 +47,7 @@ class TestCleanImf:
             decision_for(1, 20, 39, True),
             decision_for(1, 40, 59, False),
         ]
-        out = clean_imf(x, np.abs(x), cps, decisions)
+        out = clean_imf(x, cps, decisions)
         assert np.array_equal(out[20:40], x[20:40])
         assert np.all(out[:20] == 0)
         assert np.all(out[40:] == 0)
@@ -55,17 +56,13 @@ class TestCleanImf:
         x = np.random.default_rng(2).normal(0, 1, 60)
         cps = ChangePointSet((29,), 0.0, Penalty.mbic(), 5)
         decisions = [decision_for(1, 0, 29, True), decision_for(1, 30, 59, True)]
-        assert np.array_equal(clean_imf(x, np.abs(x), cps, decisions), x)
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError, match="lengths"):
-            clean_imf(np.ones(10), np.ones(11), ChangePointSet((), 0, Penalty.mbic(), 5), [])
+        assert np.array_equal(clean_imf(x, cps, decisions), x)
 
     def test_rejects_wrong_coverage(self):
         x = np.ones(60)
         cps = ChangePointSet((29,), 0.0, Penalty.mbic(), 5)
         with pytest.raises(ValueError, match="cover"):
-            clean_imf(x, x, cps, [decision_for(1, 0, 29, True)])
+            clean_imf(x, cps, [decision_for(1, 0, 29, True)])
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +109,7 @@ class TestPipeline:
     def test_deterministic(self, doppler_report):
         report, noisy, _ = doppler_report
         config = LcdscConfig(emd=EmdConfig(ensemble_size=8, seed=1))
-        again = lcdsc_clean(noisy, config, workers=3)
+        again = lcdsc_clean(noisy, config)
         assert np.array_equal(report.cleaned_signal, again.cleaned_signal)
         assert report.significant_imfs == again.significant_imfs
         assert [d.test.p_value for d in report.decisions] == [
@@ -225,8 +222,9 @@ class TestProperties:
 
 class TestConfigValidation:
     def test_non_finite_values_are_rejected(self):
-        with pytest.raises(ValueError, match="gamma"):
-            LcdscConfig(gamma=math.nan)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma"):
+                LcdscConfig(gamma=bad)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="penalty_scale"):
                 LcdscConfig(penalty_scale=bad)
@@ -242,3 +240,13 @@ class TestConfigValidation:
             LcdscConfig(min_seg_len=1)
         with pytest.raises(ValueError):
             LcdscConfig(penalty_scale=0.0)
+
+    @pytest.mark.parametrize("workers", [2, 0, -3])
+    def test_workers_other_than_one_is_rejected(self, workers):
+        # the ensemble has one path, on the calling thread
+        noisy, _, _ = local_doppler(LocalSignalSpec(600, 240, 360, 0.2, seed=3))
+        with pytest.raises(ValueError, match="workers must be 1"):
+            lcdsc_clean(noisy, LcdscConfig(emd=FAST_EMD), workers=workers)
+        with pytest.raises(ValueError, match="workers must be 1"):
+            run_benchmark(["lcdsc"], [(600, 0.2, 0.25)], 1, 0, LcdscConfig(emd=FAST_EMD),
+                          workers=workers)

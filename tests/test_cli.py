@@ -1,6 +1,5 @@
-import importlib
 import json
-import os
+import threading
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -8,24 +7,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from lcdsc import LcdscConfig
+from lcdsc import EmdConfig, LcdscConfig, lcdsc_clean
 from lcdsc.cli import _atomic_write, _matrix_csv, ingest, main
 
 
-def run_cli(*args, env=None):
-    saved = {}
-    env = env or {}
-    for key, value in env.items():
-        saved[key] = os.environ.get(key)
-        os.environ[key] = value
-    try:
-        return main(list(args))
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+def run_cli(*args):
+    return main(list(args))
 
 
 def read(path):
@@ -116,6 +103,8 @@ _HOSTILE_CONFIGS = {
     "not-utf8": (b"\xff\xfe = 3\n", 2),
     "crlf": (b"gamma = 2\r\nensemble_size = 2\r\n", 0),
     "huge-noise": (b"noise_amplitude = 1e308\n", 3),
+    # passes eemd's noise-scale check, then overflows the change point prefix sums
+    "noise-1e154": (b"noise_amplitude = 1e154\nensemble_size = 2\n", 3),
 }
 
 
@@ -307,13 +296,14 @@ class TestClean:
             assert read(out1 / name) == read(out2 / name), name
 
     def test_runs_ensemble_on_calling_thread(self, sim_dir, tmp_path, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the CLI started a worker thread pool")
+        def no_thread(self):
+            raise AssertionError("a thread was started")
 
-        # lcdsc.emd names the function; the module comes from the import system
-        monkeypatch.setattr(importlib.import_module("lcdsc.emd"), "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         assert run_cli("clean", str(sim_dir / "noisy.csv"), "--out-dir", str(tmp_path / "o"),
-                       "--ensemble-size", "3", "--seed", "5", env={"LCDSC_THREADS": "4"}) == 0
+                       "--ensemble-size", "3", "--seed", "5") == 0
+        config = LcdscConfig(emd=EmdConfig(ensemble_size=3, seed=5))
+        lcdsc_clean(ingest(str(sim_dir / "noisy.csv")), config)
 
     def test_report_schema_and_round_trip(self, sim_dir, tmp_path):
         out = tmp_path / "rep"
@@ -393,6 +383,7 @@ class TestSettings:
 
     @pytest.mark.parametrize("flags", [
         ("--gamma", "nan"),
+        ("--gamma", "inf"),
         ("--noise-amplitude", "nan"),
         ("--noise-amplitude", "inf"),
         ("--beta", "5"),
@@ -432,8 +423,10 @@ class TestSweepGamma:
                        "--out-dir", str(tmp_path / "x")) == 1
 
     def test_nan_gamma_is_usage_error(self, sim_dir, tmp_path):
-        assert run_cli("sweep-gamma", str(sim_dir / "noisy.csv"), "--gammas", "1,nan",
-                       "--out-dir", str(tmp_path / "x")) == 1
+        for gammas in ("1,nan", "1,inf"):
+            assert run_cli("sweep-gamma", str(sim_dir / "noisy.csv"), "--gammas", gammas,
+                           "--out-dir", str(tmp_path / "x")) == 1
+            assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("gammas, named", [
         ("1.0000001,1.0000002", ("1.0000001", "1.0000002")),

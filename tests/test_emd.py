@@ -277,15 +277,11 @@ class TestEemd:
         cfg = EmdConfig(ensemble_size=1, noise_amplitude=0.0, seed=9)
         assert bitwise_equal(emd(x, cfg), eemd(x, cfg))
 
-    def test_deterministic_across_runs_and_workers(self):
+    def test_deterministic_across_runs(self):
         rng = np.random.default_rng(8)
         x = rng.normal(0, 1, 256)
         cfg = EmdConfig(ensemble_size=6, seed=123)
-        a = eemd(x, cfg)
-        b = eemd(x, cfg)
-        c = eemd(x, cfg, workers=4)
-        assert bitwise_equal(a, b)
-        assert bitwise_equal(a, c)
+        assert bitwise_equal(eemd(x, cfg), eemd(x, cfg))
 
     def test_doppler_fixture_has_many_imfs(self):
         from lcdsc import LocalSignalSpec, local_doppler
@@ -315,7 +311,7 @@ class TestEemd:
         x = np.random.default_rng(6).normal(0, 1, 100) * 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="sample variance overflows"):
+            with pytest.raises(ValueError, match="sum of squared deviations overflows"):
                 eemd(x, cfg)
 
 
@@ -369,14 +365,13 @@ def stacked_mean_eemd(x, cfg):
 
 
 class TestStreamingEnsemble:
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_matches_stacked_mean_bitwise(self, workers):
+    def test_matches_stacked_mean_bitwise(self):
         seen = {"short": 0, "truncated": set()}
         for seed, n, iters in ((0, 150, 3), (5, 150, 50), (8, 257, 6), (11, 90, 50)):
             x = np.random.default_rng(seed).normal(0, 1, n)
             cfg = EmdConfig(ensemble_size=7, max_sift_iters=iters, seed=seed)
             mean, truncated, residual, short, truncations = stacked_mean_eemd(x, cfg)
-            d = eemd(x, cfg, workers=workers)
+            d = eemd(x, cfg)
             assert d.n_imfs == mean.shape[0]
             for j, imf in enumerate(d.imfs):
                 assert imf.samples.tobytes() == mean[j].tobytes()
