@@ -1,11 +1,6 @@
 """Local change point detection and signal cleaning for EEMD signals."""
 
 from .baselines import (
-    Band,
-    ExplicitSet,
-    KHighest,
-    LLowest,
-    SubsetRule,
     keep_subset,
     noise_sigma,
     oracle_select,
@@ -66,7 +61,6 @@ from .simulation import (
     separability_check,
 )
 from .spectral import (
-    AnalyticSeries,
     analytic_signal,
     instantaneous_amplitude,
     instantaneous_frequency,

@@ -1,17 +1,16 @@
 """Competing ensemble-decomposition cleaning methods.
 
-Subset rules rebuild a signal from a chosen set of IMFs (the residual is
-always excluded); the oracle selector exhaustively searches a rule family
-for the best residual sum of squares against a known truth, giving each
-family its performance upper bound.  The wavelet-style baselines
-threshold each IMF against the universal threshold with a MAD noise
-estimate, either sample by sample (hard) or whole inter-zero-crossing
-intervals at a time.
+A subset rule is the ascending tuple of 1-based IMF indices it keeps; the
+rebuilt signal is the sum of those IMFs (the residual is always
+excluded).  The oracle selector exhaustively searches a rule family (k
+highest, l lowest, contiguous band, any subset) for the best residual sum
+of squares against a known truth, giving each family its performance
+upper bound.  The wavelet-style baselines threshold each IMF against the
+universal threshold with a MAD noise estimate, either sample by sample
+(hard) or whole inter-zero-crossing intervals at a time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,67 +19,14 @@ from .simulation import rss
 
 _MAD_TO_SIGMA = 0.6745
 
-
-@dataclass(frozen=True)
-class KHighest:
-    """Keep the k highest-numbered (lowest-frequency) IMFs."""
-
-    k: int
-
-
-@dataclass(frozen=True)
-class LLowest:
-    """Keep the l lowest-numbered (highest-frequency) IMFs."""
-
-    l: int
-
-
-@dataclass(frozen=True)
-class Band:
-    """Keep the contiguous 1-based index window [lo, hi]; lo > hi keeps none."""
-
-    lo: int
-    hi: int
-
-
-@dataclass(frozen=True)
-class ExplicitSet:
-    """Keep exactly the given 1-based IMF indices."""
-
-    indices: frozenset[int]
-
-
-SubsetRule = KHighest | LLowest | Band | ExplicitSet
-
 ORACLE_FAMILIES = ("khigh", "llow", "band", "powerset")
 
 
-def retained_indices(rule: SubsetRule, n_imfs: int) -> frozenset[int]:
-    """1-based IMF indices the rule keeps out of ``n_imfs`` available."""
-    if isinstance(rule, KHighest):
-        if not 0 <= rule.k <= n_imfs:
-            raise ValueError("k must lie in [0, n_imfs]")
-        return frozenset(range(n_imfs - rule.k + 1, n_imfs + 1))
-    if isinstance(rule, LLowest):
-        if not 0 <= rule.l <= n_imfs:
-            raise ValueError("l must lie in [0, n_imfs]")
-        return frozenset(range(1, rule.l + 1))
-    if isinstance(rule, Band):
-        if rule.lo > rule.hi:
-            return frozenset()
-        if rule.lo < 1 or rule.hi > n_imfs:
-            raise ValueError("band window out of range")
-        return frozenset(range(rule.lo, rule.hi + 1))
-    if isinstance(rule, ExplicitSet):
-        if not all(1 <= j <= n_imfs for j in rule.indices):
-            raise ValueError("explicit indices out of range")
-        return frozenset(rule.indices)
-    raise TypeError(f"unknown subset rule {rule!r}")
-
-
-def keep_subset(d: Decomposition, rule: SubsetRule) -> np.ndarray:
-    """Sum of the retained IMFs only; an empty selection returns zeros."""
-    kept = retained_indices(rule, d.n_imfs)
+def keep_subset(d: Decomposition, indices) -> np.ndarray:
+    """Sum of the IMFs with the given 1-based indices; an empty selection returns zeros."""
+    kept = set(indices)
+    if not all(1 <= j <= d.n_imfs for j in kept):
+        raise ValueError("imf indices out of range")
     out = np.zeros(d.source_len)
     for imf in d.imfs:
         if imf.index in kept:
@@ -88,27 +34,28 @@ def keep_subset(d: Decomposition, rule: SubsetRule) -> np.ndarray:
     return out
 
 
-def _family_rules(family: str, n_imfs: int):
+def _family_subsets(family: str, n_imfs: int):
+    """Yield every index tuple a rule family can keep out of ``n_imfs`` IMFs."""
     if family == "khigh":
-        return [KHighest(k) for k in range(n_imfs + 1)]
-    if family == "llow":
-        return [LLowest(l) for l in range(n_imfs + 1)]
-    if family == "band":
-        rules = [Band(1, 0)]
-        rules.extend(Band(lo, hi) for lo in range(1, n_imfs + 1) for hi in range(lo, n_imfs + 1))
-        return rules
-    if family == "powerset":
+        yield from (tuple(range(n_imfs - k + 1, n_imfs + 1)) for k in range(n_imfs + 1))
+    elif family == "llow":
+        yield from (tuple(range(1, l + 1)) for l in range(n_imfs + 1))
+    elif family == "band":
+        yield ()
+        for lo in range(1, n_imfs + 1):
+            yield from (tuple(range(lo, hi + 1)) for hi in range(lo, n_imfs + 1))
+    elif family == "powerset":
         if n_imfs > 20:
             raise ValueError("subset explosion: powerset search is capped at 20 imfs")
-        rules = []
         for mask in range(2**n_imfs):
-            rules.append(ExplicitSet(frozenset(j + 1 for j in range(n_imfs) if mask >> j & 1)))
-        return rules
-    raise ValueError(f"unknown rule family {family!r}; expected one of {ORACLE_FAMILIES}")
+            # tuple of a list: tuple(genexpr) resizes, so freed tuples pile up in free lists
+            yield tuple([j + 1 for j in range(n_imfs) if mask >> j & 1])
+    else:
+        raise ValueError(f"unknown rule family {family!r}; expected one of {ORACLE_FAMILIES}")
 
 
-def oracle_select(d: Decomposition, truth, family: str) -> tuple[SubsetRule, float]:
-    """Best rule in a family by residual sum of squares against ``truth``.
+def oracle_select(d: Decomposition, truth, family: str) -> tuple[tuple[int, ...], float]:
+    """Best index tuple in a family by residual sum of squares against ``truth``.
 
     Ties prefer the smaller retained set, then the lexicographically
     smallest index tuple, so the result is deterministic.
@@ -116,17 +63,11 @@ def oracle_select(d: Decomposition, truth, family: str) -> tuple[SubsetRule, flo
     truth = _as_1d_float(truth, "truth")
     if truth.size != d.source_len:
         raise ValueError("truth length does not match the decomposition")
-    best_rule = None
-    best_rss = np.inf
-    best_key: tuple[int, tuple[int, ...]] | None = None
-    for rule in _family_rules(family, d.n_imfs):
-        value = rss(keep_subset(d, rule), truth)
-        kept = tuple(sorted(retained_indices(rule, d.n_imfs)))
-        key = (len(kept), kept)
-        if value < best_rss or (value == best_rss and key < best_key):
-            best_rule, best_rss, best_key = rule, value, key
-    assert best_rule is not None
-    return best_rule, best_rss
+    if not np.all(np.isfinite(truth)):
+        raise ValueError("truth contains non-finite values")
+    subsets = _family_subsets(family, d.n_imfs)
+    value, _, best = min((rss(keep_subset(d, s), truth), len(s), s) for s in subsets)
+    return best, value
 
 
 def noise_sigma(imf) -> float:

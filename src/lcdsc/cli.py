@@ -63,7 +63,9 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
 
     ``csv`` expects ``t,value`` columns (header optional) with uniformly
     spaced ``t`` (1e-6 relative tolerance); ``plain`` expects one float
-    per line with an implied unit sample interval.
+    per line with an implied unit sample interval.  Blank lines are
+    skipped, every row is one line, and an error names the row by its
+    line number in the file.
     """
     if fmt == "auto":
         fmt = "csv" if path.lower().endswith(".csv") else "plain"
@@ -79,19 +81,32 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
     lines = [ln for ln in content.splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
+
+    def row_no(k: int) -> int:
+        """The file line number of ``lines[k]``, blank lines counted; only errors need it."""
+        return [i for i, ln in enumerate(content.splitlines(), start=1) if ln.strip()][k]
+
     if fmt == "plain":
         samples = []
-        for i, line in enumerate(lines, start=1):
+        for k, line in enumerate(lines):
+            text = line.strip()
             try:
-                value = float(line.strip())
+                value = float(text)
             except ValueError:
-                raise DataError(f"{path}: row {i}: not a number: {line.strip()!r}") from None
+                raise DataError(f"{path}: row {row_no(k)}: not a number: {text!r}") from None
             if not math.isfinite(value):
-                raise DataError(f"{path}: row {i}: non-finite value")
+                raise DataError(f"{path}: row {row_no(k)}: non-finite value")
             samples.append(value)
         return TimeSeries(samples, 1.0)
 
-    rows = list(csv.reader(lines))
+    reader = csv.reader(lines)
+    rows = []
+    for row in reader:
+        if reader.line_num != len(rows) + 1:  # the row took more than its own line
+            raise DataError(
+                f"{path}: row {row_no(len(rows))}: quoted field runs past the end of the line"
+            )
+        rows.append(row)
     start = 0
     try:
         float(rows[0][0])
@@ -100,37 +115,41 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
     if len(rows) - start < 2:
         raise DataError(f"{path}: need at least 2 data rows")
     ts, values = [], []
-    for i, row in enumerate(rows[start:], start=start + 1):
+    for k, row in enumerate(rows[start:], start=start):
         if len(row) != 2:
-            raise DataError(f"{path}: row {i}: expected 2 columns, got {len(row)}")
+            raise DataError(f"{path}: row {row_no(k)}: expected 2 columns, got {len(row)}")
         try:
             t, v = float(row[0]), float(row[1])
         except ValueError:
-            raise DataError(f"{path}: row {i}: not a number") from None
+            raise DataError(f"{path}: row {row_no(k)}: not a number") from None
         if not (math.isfinite(t) and math.isfinite(v)):
-            raise DataError(f"{path}: row {i}: non-finite value")
+            raise DataError(f"{path}: row {row_no(k)}: non-finite value")
         ts.append(t)
         values.append(v)
     dt = ts[1] - ts[0]
     if dt <= 0:
-        raise DataError(f"{path}: row {start + 2}: time column must be increasing")
+        raise DataError(f"{path}: row {row_no(start + 1)}: time column must be increasing")
     for i in range(1, len(ts)):
         if abs((ts[i] - ts[i - 1]) - dt) > 1e-6 * abs(dt):
-            raise DataError(f"{path}: row {start + i + 1}: non-uniform sample spacing")
+            raise DataError(f"{path}: row {row_no(start + i)}: non-uniform sample spacing")
     return TimeSeries(values, dt)
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     """Stream text chunks into a temp file beside ``path``, then rename it over ``path``.
 
+    The file gets the mode ``open()`` would give it (0o666 less the umask).
     Any failure removes the temp file; an ``OSError`` becomes a ``DataError``.
     """
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # the only way to read it is to set it
+    os.umask(umask)
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         try:
             with os.fdopen(fd, "w") as fh:
+                os.fchmod(fd, 0o666 & ~umask)
                 fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
@@ -489,6 +508,9 @@ def _cmd_bench(args) -> int:
     unknown = [m for m in methods if m not in METHOD_NAMES]
     if unknown:
         raise UsageError(f"unknown method name(s): {', '.join(unknown)}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise UsageError(f"repeated method name(s): {', '.join(repeated)}")
     if args.replicates < 1:
         raise UsageError("--replicates must be at least 1")
     file_cfg = _parse_config_file(args.config, set(_CLEAN_KEYS)) if args.config else {}

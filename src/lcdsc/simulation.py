@@ -206,11 +206,13 @@ def run_benchmark(
     results come back in canonical (cell, method, replicate) order, so
     the table is reproducible bit for bit from ``base_seed``.  Each
     result's ``seconds`` includes the instance's shared decomposition
-    time for every method that uses it (all but ``none``).  ``workers``
-    must be 1: the ensemble runs on the calling thread, and the parameter
-    stays only until the benchmark stops passing it.
+    time for every method that uses it (all but ``none``).  A method
+    name may appear only once.  ``workers`` must be 1: the ensemble runs
+    on the calling thread, and the parameter stays only until the
+    benchmark stops passing it.
     """
     from .baselines import (
+        ORACLE_FAMILIES,
         oracle_select,
         wavelet_hard_threshold,
         wavelet_interval_threshold,
@@ -221,12 +223,16 @@ def run_benchmark(
     unknown = [m for m in methods if m not in METHOD_NAMES]
     if unknown:
         raise ValueError(f"unknown method name(s) {unknown}; expected among {METHOD_NAMES}")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"repeated method name(s) {repeated}")
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}: the ensemble runs on "
                          "the calling thread")
     config = config or LcdscConfig()
+    thresholds = {"wht": wavelet_hard_threshold, "wit": wavelet_interval_threshold}
 
     results: list[BenchResult] = []
     for cell_index, cell in enumerate(grid):
@@ -245,16 +251,11 @@ def run_benchmark(
                 elif method == "lcdsc":
                     report = clean_decomposition(d, replace(config, emd=emd_cfg))
                     value = rss(report.cleaned_signal, truth)
-                elif method in ("khigh", "llow", "band", "powerset"):
+                elif method in ORACLE_FAMILIES:
                     _, value = oracle_select(d, truth, method)
-                elif method == "wht":
+                else:  # wht or wit
                     est = np.sum(
-                        [wavelet_hard_threshold(imf.samples) for imf in d.imfs], axis=0
-                    ) if d.imfs else np.zeros(d.source_len)
-                    value = rss(est, truth)
-                else:  # wit
-                    est = np.sum(
-                        [wavelet_interval_threshold(imf.samples) for imf in d.imfs], axis=0
+                        [thresholds[method](imf.samples) for imf in d.imfs], axis=0
                     ) if d.imfs else np.zeros(d.source_len)
                     value = rss(est, truth)
                 elapsed = time.perf_counter() - start

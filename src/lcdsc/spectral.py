@@ -10,55 +10,37 @@ usual edge effects and downstream checks should look at interior windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .emd import _as_1d_float, _frozen_copy
+from .emd import _as_1d_float
 
 
-@dataclass(frozen=True, eq=False)
-class AnalyticSeries:
-    """Real and imaginary parts of an analytic signal."""
+def analytic_signal(imf) -> np.ndarray:
+    """Analytic signal of a real series via the one-sided spectrum.
 
-    real_part: np.ndarray
-    imag_part: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "real_part", _frozen_copy(_as_1d_float(self.real_part, "real_part")))
-        object.__setattr__(self, "imag_part", _frozen_copy(_as_1d_float(self.imag_part, "imag_part")))
-        if self.real_part.size != self.imag_part.size:
-            raise ValueError("real and imaginary parts must have equal length")
-
-
-def _analytic(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    spectrum = np.fft.fft(x)
-    weights = np.zeros(n)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[1 : n // 2] = 2.0
-        weights[n // 2] = 1.0
-    else:
-        weights[1 : (n + 1) // 2] = 2.0
-    return np.fft.ifft(spectrum * weights)
-
-
-def analytic_signal(imf) -> AnalyticSeries:
-    """Analytic signal of a real series via the one-sided spectrum."""
+    Returns a read-only complex array whose real part is the series.
+    """
     x = _as_1d_float(imf, "imf")
     if x.size < 4:
         raise ValueError("series too short: analytic signal needs at least 4 samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("invalid samples: input contains non-finite values")
-    z = _analytic(x)
-    return AnalyticSeries(real_part=z.real, imag_part=z.imag)
+    n = x.size
+    weights = np.zeros(n)
+    weights[0] = 1.0
+    weights[1 : (n + 1) // 2] = 2.0
+    if n % 2 == 0:
+        weights[n // 2] = 1.0
+    z = np.fft.ifft(np.fft.fft(x) * weights)
+    z.setflags(write=False)
+    return z
 
 
 def instantaneous_amplitude(imf) -> np.ndarray:
     """Elementwise modulus of the analytic signal; always nonnegative."""
     z = analytic_signal(imf)
-    return np.hypot(z.real_part, z.imag_part)
+    # not np.abs(z): that rounds about a third of the samples differently
+    return np.hypot(z.real, z.imag)
 
 
 def instantaneous_frequency(imf, dt: float = 1.0) -> np.ndarray:
@@ -70,5 +52,5 @@ def instantaneous_frequency(imf, dt: float = 1.0) -> np.ndarray:
     if not dt > 0:
         raise ValueError("dt must be positive")
     z = analytic_signal(imf)
-    phase = np.unwrap(np.arctan2(z.imag_part, z.real_part))
+    phase = np.unwrap(np.arctan2(z.imag, z.real))
     return np.gradient(phase, dt) / (2.0 * np.pi)

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from lcdsc import (
-    Band,
     Decomposition,
-    ExplicitSet,
     Imf,
-    KHighest,
-    LLowest,
     keep_subset,
     noise_sigma,
     oracle_select,
@@ -15,7 +11,7 @@ from lcdsc import (
     wavelet_hard_threshold,
     wavelet_interval_threshold,
 )
-from lcdsc.baselines import retained_indices
+from lcdsc.baselines import _family_subsets
 
 
 def make_decomposition(rows):
@@ -32,25 +28,26 @@ def seven_imfs():
 
 class TestKeepSubset:
     def test_explicit_all_is_reconstruction_minus_residual(self, seven_imfs):
-        rule = ExplicitSet(frozenset(range(1, 8)))
+        rule = (1, 2, 3, 4, 5, 6, 7)
         want = np.sum(seven_imfs.imf_matrix(), axis=0)
         assert np.allclose(keep_subset(seven_imfs, rule), want)
 
     def test_explicit_empty_is_zero(self, seven_imfs):
-        assert np.all(keep_subset(seven_imfs, ExplicitSet(frozenset())) == 0)
+        assert np.all(keep_subset(seven_imfs, ()) == 0)
 
     def test_k_highest_keeps_last_indices(self, seven_imfs):
-        got = keep_subset(seven_imfs, KHighest(2))
+        got = keep_subset(seven_imfs, (6, 7))
         want = seven_imfs.imfs[5].samples + seven_imfs.imfs[6].samples
         assert np.allclose(got, want)
-        assert retained_indices(KHighest(2), 7) == frozenset({6, 7})
+        assert list(_family_subsets("khigh", 7))[2] == (6, 7)
 
     def test_l_lowest_keeps_first_indices(self, seven_imfs):
-        assert retained_indices(LLowest(3), 7) == frozenset({1, 2, 3})
+        assert list(_family_subsets("llow", 7))[3] == (1, 2, 3)
 
     def test_band_window(self, seven_imfs):
-        assert retained_indices(Band(2, 4), 7) == frozenset({2, 3, 4})
-        assert retained_indices(Band(3, 2), 7) == frozenset()
+        bands = list(_family_subsets("band", 7))
+        assert (2, 3, 4) in bands
+        assert bands[0] == ()
 
     def test_linearity(self, seven_imfs):
         rng = np.random.default_rng(1)
@@ -58,16 +55,16 @@ class TestKeepSubset:
         summed = make_decomposition(
             [a.samples + b.samples for a, b in zip(seven_imfs.imfs, other.imfs)]
         )
-        rule = Band(2, 5)
+        rule = (2, 3, 4, 5)
         lhs = keep_subset(summed, rule)
         rhs = keep_subset(seven_imfs, rule) + keep_subset(other, rule)
         assert np.allclose(lhs, rhs)
 
     def test_validation(self, seven_imfs):
         with pytest.raises(ValueError):
-            keep_subset(seven_imfs, KHighest(8))
+            keep_subset(seven_imfs, (8,))
         with pytest.raises(ValueError):
-            keep_subset(seven_imfs, ExplicitSet(frozenset({0})))
+            keep_subset(seven_imfs, (0,))
 
 
 class TestOracleSelect:
@@ -75,7 +72,7 @@ class TestOracleSelect:
         truth = seven_imfs.imfs[3].samples
         rule, value = oracle_select(seven_imfs, truth, "powerset")
         assert value == 0.0
-        assert retained_indices(rule, 7) == frozenset({4})
+        assert rule == (4,)
 
     def test_powerset_never_worse_than_windowed_families(self, seven_imfs):
         rng = np.random.default_rng(2)
@@ -94,16 +91,25 @@ class TestOracleSelect:
 
     def test_tie_prefers_smaller_set(self):
         zeros = np.zeros(20)
-        d = make_decomposition([zeros, zeros, zeros])
-        rule, value = oracle_select(d, zeros, "powerset")
-        assert value == 0.0
-        assert retained_indices(rule, 3) == frozenset()
+        # two identical IMFs fit equally well: the lexicographically smaller tuple wins
+        x = np.random.default_rng(15).normal(0, 1, 20)
+        cases = [([zeros, zeros, zeros], zeros, ()), ([x, x], x, (1,))]
+        for rows, truth, want in cases:
+            rule, value = oracle_select(make_decomposition(rows), truth, "powerset")
+            assert value == 0.0
+            assert rule == want
 
     def test_powerset_guard(self):
         rng = np.random.default_rng(4)
         d = make_decomposition([rng.normal(0, 1, 8) for _ in range(21)])
         with pytest.raises(ValueError, match="subset explosion"):
             oracle_select(d, np.zeros(8), "powerset")
+
+    def test_non_finite_truth(self, seven_imfs):
+        truth = seven_imfs.imfs[1].samples.copy()
+        truth[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            oracle_select(seven_imfs, truth, "powerset")
 
     def test_unknown_family(self, seven_imfs):
         with pytest.raises(ValueError, match="unknown rule family"):

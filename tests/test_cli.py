@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import threading
 import tracemalloc
 import warnings
@@ -66,6 +68,17 @@ class TestIngest:
         path.write_text(text)
         assert run_cli("decompose", str(path), "--out-dir", str(tmp_path / "o")) == 2
         assert f"row {row}: time column must be increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("x.csv", "t,value\n\n0,1\n1,2\n\n2,x\n", "row 6: not a number"),
+        ("x.txt", "1\n\n2\nfoo\n", "row 4: not a number"),
+        ("x.csv", 't,value\n\n0,"1\n2"\n1,3\n2,4\n', "row 3: quoted field runs past the end"),
+    ], ids=["csv", "plain", "csv-quoted-newline"])
+    def test_errors_name_file_lines(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run_cli("decompose", str(path), "--out-dir", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -217,6 +230,20 @@ class TestAtomicWrite:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lcdsc: data error: "), err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+    def test_output_files_take_the_umask_mode(self, sim_dir, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            assert run_cli("simulate", "doppler", "--T", "300", "--out", str(tmp_path / "s")) == 0
+            assert run_cli("clean", str(sim_dir / "noisy.csv"), "--out-dir", str(tmp_path / "c"),
+                           "--ensemble-size", "2") == 0
+        finally:
+            os.umask(previous)
+        written = sorted((tmp_path / "s").iterdir()) + sorted((tmp_path / "c").iterdir())
+        assert len(written) == 3 + 6
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in written}
+        assert modes == dict.fromkeys(modes, mode)
 
 
 class TestSimulate:
@@ -460,6 +487,14 @@ class TestBench:
         grid.write_text("T = 400\nsigma = 0.3\n")
         assert run_cli("bench", "--grid", str(grid), "--methods", "lcdsc,bogus",
                        "--out", str(tmp_path / "c.csv")) == 1
+
+    def test_repeated_method_is_usage_error(self, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("T = 400\nsigma = 0.3\n")
+        assert run_cli("bench", "--grid", str(grid), "--methods", "none,none,wht",
+                       "--out", str(tmp_path / "c.csv")) == 1
+        assert "repeated method name(s): none" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("command", ["bench"])
     @pytest.mark.parametrize("config", ["gamma = banana\n", "wavelength = 3\n"],

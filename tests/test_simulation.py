@@ -193,6 +193,10 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="unknown method"):
             run_benchmark(["lcdsc", "magic"], [(400, 0.3, 0.25)], 1, 0)
 
+    def test_repeated_method_rejected_before_running(self):
+        with pytest.raises(ValueError, match="repeated method name.*'none'"):
+            run_benchmark(["none", "none", "wht"], [(400, 0.3, 0.25)], 1, 0)
+
     def test_table_schema(self):
         config = LcdscConfig(emd=EmdConfig(ensemble_size=2))
         table = bench_table(
