@@ -70,7 +70,7 @@ class SegStats:
             prefix_sumsq = np.concatenate(([0.0], np.cumsum(x * x)))
             var_floor = 1e-12 * (float(np.var(x)) + 1e-300)
         if not (math.isfinite(prefix_sumsq[-1]) and math.isfinite(var_floor)):
-            raise ValueError("series too large: its sum of squares or variance overflows")
+            raise OverflowError("series too large: its sum of squares or variance overflows")
         return cls(_frozen_copy(prefix_sum), _frozen_copy(prefix_sumsq), x.size, var_floor)
 
 

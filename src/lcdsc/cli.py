@@ -1,12 +1,16 @@
 """Command-line frontend: decompose, clean, sweep gammas, simulate, benchmark.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Every command is deterministic given its flags; all randomness flows from
-``--seed``.  Each output file is streamed in chunks into a temp file that
-is then renamed over it; an output path that cannot be written is a data
-error.  CSV cells carry 17 significant digits, and JSON numbers are
-Python's shortest round-trip decimals.  ``simulate`` rejects a flag that
-its kind does not read.
+Exit codes, picked by ``main`` alone from the exception's type: 0 success;
+1 usage error, a ``ValueError`` (a bad flag, key or value, a key set twice,
+or any argument the library rejects); 2 data error, an input file that
+cannot be read, is malformed or is too short to decompose, or an output
+that cannot be written; 3 numerical failure, an ``ArithmeticError`` (an
+overflow or a failed spline solve).  Every command is deterministic given
+its flags; all randomness flows from ``--seed``.  Each output file is
+streamed in chunks into a temp file that is then renamed over it.  CSV
+cells carry 17 significant digits, and JSON numbers are Python's shortest
+round-trip decimals.  ``simulate`` rejects a flag that its kind does not
+read.
 """
 
 from __future__ import annotations
@@ -19,17 +23,16 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
 
 from .changepoint import Penalty
 from .cleaning import CleaningReport, LcdscConfig, gamma_sweep, lcdsc_clean
-from .emd import Decomposition, EmdConfig, TimeSeries, eemd
+from .emd import _MIN_SAMPLES, Decomposition, EmdConfig, TimeSeries, eemd
 from .simulation import (
     LocalSignalSpec,
-    METHOD_NAMES,
     bench_table,
     chirp,
     double_doppler,
@@ -45,7 +48,7 @@ DATA_ERROR = 2
 NUMERICAL_ERROR = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -86,8 +89,9 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
         """The file line number of ``lines[k]``, blank lines counted; only errors need it."""
         return [i for i, ln in enumerate(content.splitlines(), start=1) if ln.strip()][k]
 
+    values = []
     if fmt == "plain":
-        samples = []
+        dt = 1.0
         for k, line in enumerate(lines):
             text = line.strip()
             try:
@@ -96,42 +100,44 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
                 raise DataError(f"{path}: row {row_no(k)}: not a number: {text!r}") from None
             if not math.isfinite(value):
                 raise DataError(f"{path}: row {row_no(k)}: non-finite value")
-            samples.append(value)
-        return TimeSeries(samples, 1.0)
-
-    reader = csv.reader(lines)
-    rows = []
-    for row in reader:
-        if reader.line_num != len(rows) + 1:  # the row took more than its own line
-            raise DataError(
-                f"{path}: row {row_no(len(rows))}: quoted field runs past the end of the line"
-            )
-        rows.append(row)
-    start = 0
-    try:
-        float(rows[0][0])
-    except (ValueError, IndexError):
-        start = 1  # header row
-    if len(rows) - start < 2:
-        raise DataError(f"{path}: need at least 2 data rows")
-    ts, values = [], []
-    for k, row in enumerate(rows[start:], start=start):
-        if len(row) != 2:
-            raise DataError(f"{path}: row {row_no(k)}: expected 2 columns, got {len(row)}")
+            values.append(value)
+    else:
+        reader = csv.reader(lines)
+        rows = []
         try:
-            t, v = float(row[0]), float(row[1])
-        except ValueError:
-            raise DataError(f"{path}: row {row_no(k)}: not a number") from None
-        if not (math.isfinite(t) and math.isfinite(v)):
-            raise DataError(f"{path}: row {row_no(k)}: non-finite value")
-        ts.append(t)
-        values.append(v)
-    dt = ts[1] - ts[0]
-    if dt <= 0:
-        raise DataError(f"{path}: row {row_no(start + 1)}: time column must be increasing")
-    for i in range(1, len(ts)):
-        if abs((ts[i] - ts[i - 1]) - dt) > 1e-6 * abs(dt):
-            raise DataError(f"{path}: row {row_no(start + i)}: non-uniform sample spacing")
+            for row in reader:
+                if reader.line_num != len(rows) + 1:  # the row took more than its own line
+                    raise DataError(f"{path}: row {row_no(len(rows))}: "
+                                    "quoted field runs past the end of the line")
+                rows.append(row)
+        except csv.Error as exc:  # a field over csv.field_size_limit(), say
+            raise DataError(f"{path}: row {row_no(reader.line_num - 1)}: {exc}") from None
+        start = 0
+        try:
+            float(rows[0][0])
+        except (ValueError, IndexError):
+            start = 1  # header row
+        ts = []
+        for k, row in enumerate(rows[start:], start=start):
+            if len(row) != 2:
+                raise DataError(f"{path}: row {row_no(k)}: expected 2 columns, got {len(row)}")
+            try:
+                t, v = float(row[0]), float(row[1])
+            except ValueError:
+                raise DataError(f"{path}: row {row_no(k)}: not a number") from None
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise DataError(f"{path}: row {row_no(k)}: non-finite value")
+            ts.append(t)
+            values.append(v)
+        dt = ts[1] - ts[0] if len(ts) > 1 else 1.0  # fewer samples fail the length check
+        if dt <= 0:
+            raise DataError(f"{path}: row {row_no(start + 1)}: time column must be increasing")
+        for i in range(1, len(ts)):
+            if abs((ts[i] - ts[i - 1]) - dt) > 1e-6 * abs(dt):
+                raise DataError(f"{path}: row {row_no(start + i)}: non-uniform sample spacing")
+    if len(values) < _MIN_SAMPLES:
+        raise DataError(f"{path}: the decomposition needs at least {_MIN_SAMPLES} samples, "
+                        f"got {len(values)}")
     return TimeSeries(values, dt)
 
 
@@ -239,6 +245,7 @@ def _parse_config_file(path: str, allowed: set[str]) -> dict[str, str]:
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for i, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -249,7 +256,10 @@ def _parse_config_file(path: str, allowed: set[str]) -> dict[str, str]:
         key = key.replace("-", "_")
         if key not in allowed:
             raise UsageError(f"{path}: line {i}: unknown key {key!r}")
-        out[key] = value
+        key = key.lower()  # a grid file's T and t are one key
+        if key in line_of:
+            raise UsageError(f"{path}: lines {line_of[key]} and {i} both set {key!r}")
+        out[key], line_of[key] = value, i
     return out
 
 
@@ -339,10 +349,7 @@ def _user_values(args, file_cfg: dict[str, str], keys: dict) -> dict:
 
 
 def _emd_config(args, file_cfg: dict[str, str]) -> EmdConfig:
-    try:
-        return EmdConfig(**_user_values(args, file_cfg, _EMD_KEYS))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return EmdConfig(**_user_values(args, file_cfg, _EMD_KEYS))
 
 
 def _clean_config(args, file_cfg: dict[str, str]) -> LcdscConfig:
@@ -352,13 +359,10 @@ def _clean_config(args, file_cfg: dict[str, str]) -> LcdscConfig:
         values["min_seg_len"] = values.pop("minseg")
     if beta is not None and kind != "aic":
         raise UsageError("beta applies only to the aic penalty")
-    try:
-        if kind is not None:
-            # aic without a beta is rejected by Penalty
-            values["penalty"] = Penalty(kind, beta) if beta is not None else Penalty(kind)
-        return LcdscConfig(emd=_emd_config(args, file_cfg), **values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if kind is not None:
+        # aic without a beta is rejected by Penalty
+        values["penalty"] = Penalty(kind, beta) if beta is not None else Penalty(kind)
+    return LcdscConfig(emd=_emd_config(args, file_cfg), **values)
 
 
 def _write_report_bundle(report: CleaningReport, out_dir: str) -> None:
@@ -413,10 +417,6 @@ def _cmd_sweep_gamma(args) -> int:
         raise UsageError("--gammas must list at least one value")
     out_dirs = [os.path.join(args.out_dir, f"gamma-{g:g}") for g in gammas]
     for i, g in enumerate(gammas):
-        try:
-            replace(config, gamma=g)  # LcdscConfig owns the gamma rule
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
         first = out_dirs.index(out_dirs[i])
         if first < i:
             raise UsageError(f"gammas {gammas[first]!r} and {g!r} would both write {out_dirs[i]}")
@@ -445,28 +445,23 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else 0
     sigma = args.sigma if args.sigma is not None else 0.2
     meta: dict = {"kind": args.kind, "sigma": float(sigma), "seed": seed}
-    try:
-        if args.kind == "doppler":
-            t_len = args.T if args.T is not None else 2500
-            a_start = args.a_start if args.a_start is not None else (2 * t_len) // 5
-            a_end = args.a_end if args.a_end is not None else (3 * t_len) // 5
-            noisy, truth, active = local_doppler(
-                LocalSignalSpec(t_len, a_start, a_end, sigma, seed)
-            )
-            meta["active"] = list(active)
-        elif args.kind == "chirp":
-            t_len = args.T if args.T is not None else 2500
-            f0 = args.f0 if args.f0 is not None else 0.01
-            f1 = args.f1 if args.f1 is not None else 0.1
-            noisy = chirp(t_len, f0, f1, sigma, seed)
-            truth = chirp(t_len, f0, f1, 0.0, seed).samples
-            meta.update(f0=f0, f1=f1)
-        else:
-            delta = args.delta if args.delta is not None else 500
-            noisy, truth, a1, a2 = double_doppler(delta, sigma, seed)
-            meta.update(delta=delta, active1=list(a1), active2=list(a2))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.kind == "doppler":
+        t_len = args.T if args.T is not None else 2500
+        a_start = args.a_start if args.a_start is not None else (2 * t_len) // 5
+        a_end = args.a_end if args.a_end is not None else (3 * t_len) // 5
+        noisy, truth, active = local_doppler(LocalSignalSpec(t_len, a_start, a_end, sigma, seed))
+        meta["active"] = list(active)
+    elif args.kind == "chirp":
+        t_len = args.T if args.T is not None else 2500
+        f0 = args.f0 if args.f0 is not None else 0.01
+        f1 = args.f1 if args.f1 is not None else 0.1
+        noisy = chirp(t_len, f0, f1, sigma, seed)
+        truth = chirp(t_len, f0, f1, 0.0, seed).samples
+        meta.update(f0=f0, f1=f1)
+    else:
+        delta = args.delta if args.delta is not None else 500
+        noisy, truth, a1, a2 = double_doppler(delta, sigma, seed)
+        meta.update(delta=delta, active1=list(a1), active2=list(a2))
     t = np.arange(len(noisy)) * noisy.dt
     for name, values in (("noisy.csv", noisy.samples), ("truth.csv", truth)):
         _atomic_write(os.path.join(args.out, name), _matrix_csv([("t", t), ("value", values)]))
@@ -479,15 +474,14 @@ _GRID_KEYS = ("T", "sigma", "locality")
 
 def _parse_grid_file(path: str) -> list[tuple[int, float, float]]:
     raw = _parse_config_file(path, set(k.lower() for k in _GRID_KEYS) | set(_GRID_KEYS))
-    lowered = {k.lower(): v for k, v in raw.items()}
 
     def values(key: str, parse, default):
-        if key not in lowered:
+        if key not in raw:
             return default
         try:
-            return [parse(v) for v in lowered[key].split(",") if v.strip()]
+            return [parse(v) for v in raw[key].split(",") if v.strip()]
         except ValueError:
-            raise UsageError(f"grid key {key!r}: cannot parse {lowered[key]!r}") from None
+            raise UsageError(f"grid key {key!r}: cannot parse {raw[key]!r}") from None
 
     grid = doppler_grid(
         values("t", int, [2500]), values("sigma", float, [0.2]), values("locality", float, [0.25])
@@ -503,16 +497,6 @@ def _parse_grid_file(path: str) -> list[tuple[int, float, float]]:
 def _cmd_bench(args) -> int:
     grid = _parse_grid_file(args.grid)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise UsageError("--methods must list at least one method")
-    unknown = [m for m in methods if m not in METHOD_NAMES]
-    if unknown:
-        raise UsageError(f"unknown method name(s): {', '.join(unknown)}")
-    repeated = sorted({m for m in methods if methods.count(m) > 1})
-    if repeated:
-        raise UsageError(f"repeated method name(s): {', '.join(repeated)}")
-    if args.replicates < 1:
-        raise UsageError("--replicates must be at least 1")
     file_cfg = _parse_config_file(args.config, set(_CLEAN_KEYS)) if args.config else {}
     config = _clean_config(args, file_cfg)
     results = run_benchmark(methods, grid, args.replicates, config.emd.seed, config=config)
@@ -575,13 +559,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"lcdsc: usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except DataError as exc:
         print(f"lcdsc: data error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (ValueError, ArithmeticError, FloatingPointError) as exc:
+    except ValueError as exc:  # UsageError, or an argument the library rejects
+        print(f"lcdsc: usage error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except ArithmeticError as exc:
         print(f"lcdsc: numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 

@@ -363,7 +363,7 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
     ensembled IMFs, so the additive identity is preserved exactly.
     Finite samples whose sum of squared deviations overflows (beyond
     roughly ``1e154 / sqrt(n)`` in magnitude for ``n`` samples) leave no
-    noise scale and raise ``ValueError``, and so does a noise scale whose
+    noise scale and raise ``OverflowError``, and so does a noise scale whose
     variance overflows (a scale beyond about 1e154, say from a huge
     ``noise_amplitude``), before any trial runs.
 
@@ -379,11 +379,11 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
     with np.errstate(over="ignore", invalid="ignore"):
         std = float(np.std(x))
     if not math.isfinite(std):
-        raise ValueError("invalid samples: the sum of squared deviations overflows")
+        raise OverflowError("invalid samples: the sum of squared deviations overflows")
     scale = config.noise_amplitude * std
     if not math.isfinite(scale * scale):
-        raise ValueError(f"noise scale {scale:.3g} (noise_amplitude * std) overflows: "
-                         "its variance is not a finite float")
+        raise OverflowError(f"noise scale {scale:.3g} (noise_amplitude * std) overflows: "
+                            "its variance is not a finite float")
     seed = config.seed & _SEED_MASK
 
     # per-index running sums in trial order: the same additions, in the same

@@ -206,10 +206,12 @@ def run_benchmark(
     results come back in canonical (cell, method, replicate) order, so
     the table is reproducible bit for bit from ``base_seed``.  Each
     result's ``seconds`` includes the instance's shared decomposition
-    time for every method that uses it (all but ``none``).  A method
-    name may appear only once.  ``workers`` must be 1: the ensemble runs
-    on the calling thread, and the parameter stays only until the
-    benchmark stops passing it.
+    time for every method that uses it (all but ``none``).  Every
+    argument is checked before the first decomposition: at least one
+    method, each named once; each grid cell runnable (``grid_spec``) and
+    listed once.  ``workers`` must be 1: the ensemble runs on the calling
+    thread, and the parameter stays only until the benchmark stops
+    passing it.
     """
     from .baselines import (
         ORACLE_FAMILIES,
@@ -220,12 +222,20 @@ def run_benchmark(
     from .cleaning import LcdscConfig, clean_decomposition
 
     methods = [str(m) for m in methods]
+    if not methods:
+        raise ValueError("methods must list at least one method")
     unknown = [m for m in methods if m not in METHOD_NAMES]
     if unknown:
-        raise ValueError(f"unknown method name(s) {unknown}; expected among {METHOD_NAMES}")
+        raise ValueError(f"unknown method name(s): {', '.join(unknown)}")
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
-        raise ValueError(f"repeated method name(s) {repeated}")
+        raise ValueError(f"repeated method name(s): {', '.join(repeated)}")
+    grid = [tuple(cell) for cell in grid]
+    for cell in grid:
+        grid_spec(cell)
+    repeated = sorted({cell for cell in grid if grid.count(cell) > 1})
+    if repeated:
+        raise ValueError(f"repeated grid cell(s): {', '.join(map(str, repeated))}")
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     if workers != 1:

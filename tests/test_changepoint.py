@@ -85,6 +85,10 @@ class TestSegmentCost:
         stats = SegStats.from_series(x)
         assert segment_cost(stats, 0, 9) == pytest.approx(10 * math.log(stats.var_floor))
 
+    def test_overflowing_sum_of_squares_is_named(self):
+        with pytest.raises(OverflowError, match="sum of squares or variance overflows"):
+            SegStats.from_series(np.full(10, 1e200))
+
     def test_unit_variance_pair(self):
         stats = SegStats.from_series([0.0, 2.0])
         assert segment_cost(stats, 0, 1) == pytest.approx(0.0, abs=1e-12)

@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -9,6 +11,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import lcdsc
 from lcdsc import EmdConfig, LcdscConfig, lcdsc_clean
 from lcdsc.cli import _atomic_write, _matrix_csv, ingest, main
 
@@ -36,22 +39,22 @@ def sim_dir(tmp_path_factory):
 class TestIngest:
     def test_plain(self, tmp_path):
         path = tmp_path / "x.txt"
-        path.write_text("1\n2\n3\n")
+        path.write_text("1\n2\n3\n4\n")
         series = ingest(str(path), "plain")
-        assert series.samples.tolist() == [1.0, 2.0, 3.0]
+        assert series.samples.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert series.dt == 1.0
 
     def test_csv_dt(self, tmp_path):
         path = tmp_path / "x.csv"
-        path.write_text("t,value\n0.00,1\n0.01,2\n0.02,3\n")
+        path.write_text("t,value\n0.00,1\n0.01,2\n0.02,3\n0.03,4\n")
         series = ingest(str(path))
         assert series.dt == pytest.approx(0.01)
-        assert series.samples.tolist() == [1.0, 2.0, 3.0]
+        assert series.samples.tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_csv_without_header(self, tmp_path):
         path = tmp_path / "x.csv"
-        path.write_text("0,5\n1,6\n2,7\n")
-        assert ingest(str(path)).samples.tolist() == [5.0, 6.0, 7.0]
+        path.write_text("0,5\n1,6\n2,7\n3,8\n")
+        assert ingest(str(path)).samples.tolist() == [5.0, 6.0, 7.0, 8.0]
 
     def test_gap_names_offending_row(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -102,6 +105,8 @@ _HOSTILE_INPUTS = {
     "inf": (b"t,value\n0,1\n1,-inf\n2,3\n3,1\n", 2),
     "one-row": (b"t,value\n0,1\n", 2),
     "header-only": (b"t,value\n", 2),
+    "three-rows": (b"t,value\n0,1\n1,-1\n2,2\n", 2),
+    "huge-field": (b"t,value\n0,1\n1," + b"2" * 200_000 + b"\n2,3\n3,1\n", 2),
     "not-utf8": (b"t,value\n0,1\n1,\xff\xfe\n", 2),
     "crlf": (_csv_bytes(_SINE, "\r\n"), 0),
     "constant": (_csv_bytes(np.full(200, 2.5)), 0),
@@ -113,6 +118,8 @@ _HOSTILE_CONFIGS = {
     "no-equals": (b"gamma 2\n", 1),
     "unknown-key": (b"min_seg_len = 3\n", 1),
     "unparsable": (b"ensemble_size = 2.5\n", 1),
+    "repeated-key": (b"gamma = 2\ngamma = 3\n", 1),
+    "repeated-key-spelling": (b"ensemble-size = 2\nensemble_size = 3\n", 1),
     "not-utf8": (b"\xff\xfe = 3\n", 2),
     "crlf": (b"gamma = 2\r\nensemble_size = 2\r\n", 0),
     "huge-noise": (b"noise_amplitude = 1e308\n", 3),
@@ -519,6 +526,29 @@ class TestBench:
                        "--out", str(by_flags)) == 0
         assert read(by_file) == read(by_flags)
 
+    @pytest.mark.parametrize("methods, grid_text, message", [
+        (",", "T = 400\n", "at least one method"),
+        ("none", "T = 400, 400\nsigma = 0.3\n", "repeated grid cell(s): (400, 0.3, 0.25)"),
+    ], ids=["no-method", "repeated-cell"])
+    def test_argument_run_benchmark_rejects_is_usage_error(self, tmp_path, capsys, methods,
+                                                           grid_text, message):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(grid_text)
+        assert run_cli("bench", "--grid", str(grid), "--methods", methods,
+                       "--out", str(tmp_path / "c.csv")) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("text", ["T = 400\nT = 500\n", "T = 400\nt = 400\n"],
+                             ids=["same-spelling", "case"])
+    def test_repeated_grid_key_is_usage_error(self, tmp_path, capsys, text):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(text)
+        assert run_cli("bench", "--grid", str(grid), "--methods", "none",
+                       "--out", str(tmp_path / "c.csv")) == 1
+        assert "lines 1 and 2 both set 't'" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_zero_replicates_is_usage_error(self, tmp_path):
         grid = tmp_path / "grid.cfg"
         grid.write_text("T = 400\nsigma = 0.3\n")
@@ -548,3 +578,62 @@ class TestBench:
         grid.write_text("T = 400\nwavelength = 3\n")
         assert run_cli("bench", "--grid", str(grid), "--methods", "none",
                        "--out", str(tmp_path / "c.csv")) == 1
+
+
+_DISPATCH_CHILD = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from lcdsc.cli import main
+
+print(json.dumps({name: __cpu_features__[name] for name in __cpu_dispatch__}))
+out = sys.argv[1]
+grid = out + "/grid.cfg"
+with open(grid, "w") as fh:
+    fh.write("T = 400\\nsigma = 0.3\\n")
+for argv in (
+    ["simulate", "doppler", "--T", "3000", "--sigma", "0.3", "--seed", "5", "--out", out + "/sim"],
+    ["clean", out + "/sim/noisy.csv", "--out-dir", out + "/clean", "--ensemble-size", "20",
+     "--seed", "3"],
+    ["bench", "--grid", grid, "--methods", "lcdsc,khigh,llow,band,powerset,wht,wit,none",
+     "--replicates", "1", "--ensemble-size", "4", "--seed", "7", "--out", out + "/bench.csv"],
+):
+    assert main(argv) == 0, argv
+"""
+
+
+def _dispatch_names() -> list[str]:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:
+        return []
+    return list(__cpu_dispatch__)
+
+
+class TestDispatchLevel:
+    """Output bytes do not depend on which SIMD kernels NumPy dispatches to."""
+
+    @staticmethod
+    def run_child(out, disabled: list[str]) -> dict[str, bool]:
+        out.mkdir()
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        src = os.path.dirname(os.path.dirname(lcdsc.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+        done = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[0])
+
+    @pytest.mark.skipif(not _dispatch_names(), reason="NumPy reports no dispatchable features")
+    def test_outputs_match_with_every_dispatch_feature_disabled(self, tmp_path):
+        names = _dispatch_names()
+        self.run_child(tmp_path / "default", [])
+        features = self.run_child(tmp_path / "baseline", names)
+        print("disabled:", ", ".join(names))
+        assert features == {name: False for name in names}
+        files = [sorted(p.relative_to(tmp_path / run) for p in (tmp_path / run).rglob("*")
+                        if p.is_file()) for run in ("default", "baseline")]
+        assert files[0] == files[1] and len(files[0]) == 1 + 3 + 6 + 1
+        for rel in files[0]:
+            assert read(tmp_path / "default" / rel) == read(tmp_path / "baseline" / rel), rel

@@ -311,8 +311,13 @@ class TestEemd:
         x = np.random.default_rng(6).normal(0, 1, 100) * 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="sum of squared deviations overflows"):
+            with pytest.raises(OverflowError, match="sum of squared deviations overflows"):
                 eemd(x, cfg)
+
+    def test_noise_scale_overflow_is_named(self):
+        x = np.random.default_rng(6).normal(0, 1, 100)
+        with pytest.raises(OverflowError, match="noise scale .* overflows"):
+            eemd(x, EmdConfig(ensemble_size=2, noise_amplitude=1e308))
 
 
 @st.composite

@@ -17,6 +17,7 @@ from lcdsc import (
     rss,
     run_benchmark,
     separability_check,
+    simulation,
 )
 
 
@@ -194,8 +195,23 @@ class TestRunBenchmark:
             run_benchmark(["lcdsc", "magic"], [(400, 0.3, 0.25)], 1, 0)
 
     def test_repeated_method_rejected_before_running(self):
-        with pytest.raises(ValueError, match="repeated method name.*'none'"):
+        with pytest.raises(ValueError, match=r"repeated method name\(s\): none"):
             run_benchmark(["none", "none", "wht"], [(400, 0.3, 0.25)], 1, 0)
+
+    @pytest.mark.parametrize("methods, grid, match", [
+        ([], [(400, 0.3, 0.25)], "at least one method"),
+        (["none"], [(400, 0.3, 0.25)] * 2, r"repeated grid cell\(s\): \(400, 0.3, 0.25\)"),
+    ], ids=["no-method", "repeated-cell"])
+    def test_bad_arguments_rejected(self, methods, grid, match):
+        with pytest.raises(ValueError, match=match):
+            run_benchmark(methods, grid, 1, 0)
+
+    def test_bad_cell_rejected_before_any_decomposition(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulation, "eemd", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="T = 3"):
+            run_benchmark(["lcdsc"], [(400, 0.3, 0.25), (3, 0.3, 0.25)], 1, 0)
+        assert calls == []
 
     def test_table_schema(self):
         config = LcdscConfig(emd=EmdConfig(ensemble_size=2))
