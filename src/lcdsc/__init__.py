@@ -31,9 +31,7 @@ from .emd import (
     TimeSeries,
     eemd,
     emd,
-    envelope_mean,
     find_extrema,
-    orthogonality_index,
     reconstruct,
     sift,
 )
@@ -55,7 +53,6 @@ from .simulation import (
     doppler_grid,
     double_doppler,
     local_doppler,
-    locality_ratio,
     rss,
     run_benchmark,
     separability_check,

@@ -23,13 +23,13 @@ ORACLE_FAMILIES = ("khigh", "llow", "band", "powerset")
 
 
 def keep_subset(d: Decomposition, indices) -> np.ndarray:
-    """Sum of the IMFs with the given 1-based indices; an empty selection returns zeros."""
+    """Sum of ``d.imfs[j - 1]`` over the given 1-based indices ``j``; none give zeros."""
     kept = set(indices)
     if not all(1 <= j <= d.n_imfs for j in kept):
         raise ValueError("imf indices out of range")
-    out = np.zeros(d.source_len)
-    for imf in d.imfs:
-        if imf.index in kept:
+    out = np.zeros(d.residual.size)
+    for j, imf in enumerate(d.imfs, start=1):
+        if j in kept:
             out += imf.samples
     return out
 
@@ -61,7 +61,7 @@ def oracle_select(d: Decomposition, truth, family: str) -> tuple[tuple[int, ...]
     smallest index tuple, so the result is deterministic.
     """
     truth = _as_1d_float(truth, "truth")
-    if truth.size != d.source_len:
+    if truth.size != d.residual.size:
         raise ValueError("truth length does not match the decomposition")
     if not np.all(np.isfinite(truth)):
         raise ValueError("truth contains non-finite values")

@@ -39,7 +39,6 @@ from .emd import (
     Decomposition,
     EmdConfig,
     _as_1d_float,
-    _coerce_series,
     _frozen_copy,
     _zero_crossings,
     eemd,
@@ -149,12 +148,12 @@ def _detect_stage(
     d: Decomposition, config: LcdscConfig
 ) -> tuple[tuple[_ImfAnalysis, ...], tuple[str, ...]]:
     """Per-IMF amplitudes, change points and segment tables (the gamma-independent work)."""
-    n = d.source_len
+    n = d.residual.size
     msl = config.min_seg_len
     diagnostics = list(d.diagnostics)
     analyses = []
     empty = ChangePointSet((), 0.0, config.penalty, msl)
-    for imf in d.imfs:
+    for j, imf in enumerate(d.imfs, start=1):
         amp = instantaneous_amplitude(imf.samples)
         stride, factor = _cycle_stride(imf.samples, n)
         guarded = amp.copy()
@@ -166,7 +165,7 @@ def _detect_stage(
         sampled = guarded[::stride]
         if sampled.size < 2 * msl:
             diagnostics.append(
-                f"imf {imf.index}: amplitude too short to segment; component zeroed"
+                f"imf {j}: amplitude too short to segment; component zeroed"
             )
             analyses.append(_ImfAnalysis(_frozen_copy(amp), empty, ()))
             continue
@@ -194,7 +193,7 @@ def _testing_stage(
     config: LcdscConfig,
 ) -> CleaningReport:
     """F-tests, Holm correction, zeroing, and report assembly for one gamma."""
-    n = d.source_len
+    n = d.residual.size
     tests = []
     for pos, analysis in enumerate(analyses):
         segs = analysis.segments
@@ -270,8 +269,7 @@ def lcdsc_clean(series, config: LcdscConfig | None = None, workers: int = 1) -> 
         raise ValueError(f"workers must be 1, got {workers!r}: the ensemble runs on "
                          "the calling thread")
     config = config or LcdscConfig()
-    ts = _coerce_series(series)
-    d = eemd(ts, config.emd)
+    d = eemd(series, config.emd)
     return clean_decomposition(d, config)
 
 
@@ -286,7 +284,6 @@ def gamma_sweep(series, gammas, config: LcdscConfig | None = None) -> list[Clean
     configs = [replace(config, gamma=float(g)) for g in gammas]
     if not configs:
         raise ValueError("gammas must be nonempty")
-    ts = _coerce_series(series)
-    d = eemd(ts, config.emd)
+    d = eemd(series, config.emd)
     analyses, diagnostics = _detect_stage(d, config)
     return [_testing_stage(d, analyses, diagnostics, c) for c in configs]

@@ -66,16 +66,17 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
 
     ``csv`` expects ``t,value`` columns (header optional) with uniformly
     spaced ``t`` (1e-6 relative tolerance); ``plain`` expects one float
-    per line with an implied unit sample interval.  Blank lines are
-    skipped, every row is one line, and an error names the row by its
-    line number in the file.
+    per line with an implied unit sample interval.  The file is UTF-8,
+    and a leading byte-order mark is skipped.  Blank lines are skipped,
+    every row is one line, and an error names the row by its line number
+    in the file.
     """
     if fmt == "auto":
         fmt = "csv" if path.lower().endswith(".csv") else "plain"
     if fmt not in ("csv", "plain"):
         raise UsageError(f"unknown input format {fmt!r}")
     try:
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             content = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
@@ -187,7 +188,7 @@ def _matrix_csv(columns: list[tuple[str, np.ndarray]]) -> Iterator[str]:
 
 
 def _decomposition_columns(d: Decomposition) -> list[tuple[str, np.ndarray]]:
-    cols = [(f"imf{imf.index}", imf.samples) for imf in d.imfs]
+    cols = [(f"imf{j}", imf.samples) for j, imf in enumerate(d.imfs, start=1)]
     cols.append(("residual", d.residual))
     return cols
 
@@ -238,7 +239,7 @@ def _report_doc(report: CleaningReport, files: dict[str, str]) -> dict:
 
 def _parse_config_file(path: str, allowed: set[str]) -> dict[str, str]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
@@ -391,7 +392,8 @@ def _cmd_decompose(args) -> int:
     d = eemd(series, config)
     _atomic_write(os.path.join(args.out_dir, "imfs.csv"), _matrix_csv(_decomposition_columns(d)))
     if args.amplitudes:
-        cols = [(f"amp{imf.index}", instantaneous_amplitude(imf.samples)) for imf in d.imfs]
+        cols = [(f"amp{j}", instantaneous_amplitude(imf.samples))
+                for j, imf in enumerate(d.imfs, start=1)]
         _atomic_write(os.path.join(args.out_dir, "amplitudes.csv"), _matrix_csv(cols))
     return 0
 

@@ -23,7 +23,8 @@ trial's IMFs, so its memory is O(width * n) for ``width`` IMFs of length
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -77,46 +78,44 @@ class TimeSeries:
 class Imf:
     """One intrinsic mode function.
 
-    ``index`` is the 1-based extraction order (highest frequency first).
     ``truncated`` marks components whose sifting hit the iteration cap
     before S-stoppage confirmed convergence.
     """
 
     samples: np.ndarray
-    index: int
     truncated: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen_copy(_as_1d_float(self.samples, "samples")))
-        if self.index < 1:
-            raise ValueError("imf index is 1-based")
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Ordered IMFs plus the residual of one source signal."""
+    """Ordered IMFs plus the residual of one source signal.
+
+    IMF ``j`` is ``imfs[j - 1]``, in extraction order (highest frequency
+    first).  Every IMF has the residual's length, the source length.
+    """
 
     imfs: tuple[Imf, ...]
     residual: np.ndarray
-    source_len: int
+    _: KW_ONLY
     diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "residual", _frozen_copy(_as_1d_float(self.residual, "residual")))
-        if self.residual.size != self.source_len:
-            raise ValueError("residual length does not match source length")
         for imf in self.imfs:
-            if imf.samples.size != self.source_len:
-                raise ValueError("imf length does not match source length")
+            if imf.samples.size != self.residual.size:
+                raise ValueError("imf length does not match the residual length")
 
     @property
     def n_imfs(self) -> int:
         return len(self.imfs)
 
     def imf_matrix(self) -> np.ndarray:
-        """IMFs stacked as rows, shape ``(n_imfs, source_len)``."""
+        """IMFs stacked as rows, shape ``(n_imfs, residual.size)``."""
         if not self.imfs:
-            return np.zeros((0, self.source_len))
+            return np.zeros((0, self.residual.size))
         return np.stack([imf.samples for imf in self.imfs])
 
 
@@ -137,14 +136,15 @@ class EmdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.s_number < 1:
-            raise ValueError("s_number must be at least 1")
-        if self.max_sift_iters < 1:
-            raise ValueError("max_sift_iters must be at least 1")
-        if self.max_imfs is not None and self.max_imfs < 1:
-            raise ValueError("max_imfs must be at least 1 (or None for auto)")
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be at least 1")
+        # counts are integers (numpy's too) of at least 1: floats, NaN among them, fail
+        for name in ("s_number", "max_sift_iters", "max_imfs", "ensemble_size"):
+            value = getattr(self, name)
+            try:
+                ok = (name == "max_imfs" and value is None) or operator.index(value) >= 1
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be an integer of at least 1")
         if not 0 <= self.noise_amplitude < math.inf:
             raise ValueError("noise_amplitude must be nonnegative and finite")
 
@@ -254,26 +254,7 @@ def _envelope_from_extrema(x: np.ndarray, maxima: np.ndarray, minima: np.ndarray
     return mean
 
 
-def _envelope_knots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    maxima, minima = find_extrema(x)
-    if maxima.size < 2 or minima.size < 2:
-        raise MonotonicComponent(
-            "monotonic component: envelope needs at least 2 maxima and 2 minima"
-        )
-    return maxima, minima
-
-
-def envelope_mean(series) -> np.ndarray:
-    """Mean of the upper and lower extrema envelopes.
-
-    Raises ``MonotonicComponent`` when fewer than 2 maxima or 2 minima
-    exist, which signals that sifting has nothing left to extract.
-    """
-    x = _as_1d_float(series)
-    return _envelope_from_extrema(x, *_envelope_knots(x))
-
-
-def sift(series, config: EmdConfig | None = None, index: int = 1) -> Imf:
+def sift(series, config: EmdConfig | None = None) -> Imf:
     """Extract one IMF by iterative envelope-mean subtraction.
 
     The candidate is refined until ``|#extrema - #zero crossings| <= 1``
@@ -284,7 +265,11 @@ def sift(series, config: EmdConfig | None = None, index: int = 1) -> Imf:
     """
     config = config or EmdConfig()
     h = _as_1d_float(series).copy()
-    maxima, minima = _envelope_knots(h)
+    maxima, minima = find_extrema(h)
+    if maxima.size < 2 or minima.size < 2:
+        raise MonotonicComponent(
+            "monotonic component: envelope needs at least 2 maxima and 2 minima"
+        )
     streak = 0
     truncated = True
     for _ in range(config.max_sift_iters):
@@ -302,18 +287,17 @@ def sift(series, config: EmdConfig | None = None, index: int = 1) -> Imf:
             # nothing left to refine against; accept the component as-is
             truncated = False
             break
-    return Imf(samples=h, index=index, truncated=truncated)
+    return Imf(samples=h, truncated=truncated)
 
 
-def _coerce_series(series) -> TimeSeries:
-    return series if isinstance(series, TimeSeries) else TimeSeries(series)
-
-
-def _validate_input(x: np.ndarray) -> None:
+def _checked_samples(series) -> np.ndarray:
+    """The samples of a ``TimeSeries`` or array_like, checked for decomposition."""
+    x = series.samples if isinstance(series, TimeSeries) else _as_1d_float(series)
     if x.size < _MIN_SAMPLES:
         raise ValueError(f"series too short: decomposition needs at least {_MIN_SAMPLES} samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("invalid samples: input contains non-finite values")
+    return x
 
 
 def _auto_max_imfs(n: int) -> int:
@@ -329,9 +313,7 @@ def emd(series, config: EmdConfig | None = None) -> Decomposition:
     reproduces the input to floating-point accuracy.
     """
     config = config or EmdConfig()
-    ts = _coerce_series(series)
-    x = ts.samples
-    _validate_input(x)
+    x = _checked_samples(series)
     cap = config.max_imfs if config.max_imfs is not None else _auto_max_imfs(x.size)
 
     imfs: list[Imf] = []
@@ -339,16 +321,16 @@ def emd(series, config: EmdConfig | None = None) -> Decomposition:
     remainder = x.copy()
     while len(imfs) < cap:
         try:
-            imf = sift(remainder, config, index=len(imfs) + 1)
+            imf = sift(remainder, config)
         except MonotonicComponent:
             break
+        imfs.append(imf)
         if imf.truncated:
             diagnostics.append(
-                f"imf {imf.index}: sifting stopped at max_sift_iters={config.max_sift_iters}"
+                f"imf {len(imfs)}: sifting stopped at max_sift_iters={config.max_sift_iters}"
             )
-        imfs.append(imf)
         remainder = remainder - imf.samples
-    return Decomposition(tuple(imfs), remainder, x.size, tuple(diagnostics))
+    return Decomposition(tuple(imfs), remainder, diagnostics=tuple(diagnostics))
 
 
 def eemd(series, config: EmdConfig | None = None) -> Decomposition:
@@ -373,9 +355,7 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
     O(width * n) for any ``ensemble_size``.
     """
     config = config or EmdConfig()
-    ts = _coerce_series(series)
-    x = ts.samples
-    _validate_input(x)
+    x = _checked_samples(series)
     with np.errstate(over="ignore", invalid="ignore"):
         std = float(np.std(x))
     if not math.isfinite(std):
@@ -395,7 +375,7 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
     for k in range(config.ensemble_size):
         rng = np.random.default_rng([seed, k])
         noisy = x + rng.normal(0.0, scale, x.size)
-        trial = emd(TimeSeries(noisy, ts.dt), config)
+        trial = emd(noisy, config)
         widths.append(trial.n_imfs)
         for j, imf in enumerate(trial.imfs):
             if j == len(sums):
@@ -417,37 +397,19 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
         diagnostics.append(f"{truncations} trial imfs hit max_sift_iters during sifting")
 
     if width == 0:
-        return Decomposition((), x.copy(), x.size, tuple(diagnostics))
+        return Decomposition((), x, diagnostics=tuple(diagnostics))
 
     imfs = []
     # subtract sequentially so a degenerate ensemble matches emd() bit for bit
     residual = x.copy()
     for j in range(width):
         mean = sums[j] / config.ensemble_size
-        imfs.append(Imf(samples=mean, index=j + 1, truncated=truncated[j]))
+        imfs.append(Imf(samples=mean, truncated=truncated[j]))
         residual = residual - mean
-    return Decomposition(tuple(imfs), residual, x.size, tuple(diagnostics))
+    return Decomposition(tuple(imfs), residual, diagnostics=tuple(diagnostics))
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
     """Sum of all IMFs plus the residual, elementwise."""
     return np.sum(d.imf_matrix(), axis=0) + d.residual
 
-
-def orthogonality_index(d: Decomposition) -> float:
-    """Total cross-IMF leakage relative to the signal energy.
-
-    Computes ``sum_t sum_{j != k} imf_j(t) imf_k(t) / sum_t x(t)^2`` with
-    ``x`` the reconstruction; near zero when the IMFs are mutually
-    orthogonal.
-    """
-    if d.n_imfs < 2:
-        raise ValueError("orthogonality index needs at least 2 imfs")
-    x = reconstruct(d)
-    denom = float(np.sum(x * x))
-    if denom == 0.0:
-        raise ValueError("degenerate signal: zero energy")
-    matrix = d.imf_matrix()
-    total = np.sum(matrix, axis=0)
-    cross = float(np.sum(total * total - np.sum(matrix * matrix, axis=0)))
-    return cross / denom

@@ -53,8 +53,8 @@ class SegmentTest:
             raise ValueError("p_value must lie in [0, 1]")
         if self.f_stat < 0:
             raise ValueError("f_stat must be nonnegative")
-        if self.gamma < 1:
-            raise ValueError("gamma must be at least 1")
+        if not 1 <= self.gamma < math.inf:
+            raise ValueError("gamma must be at least 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ def f_test_segment(
     """
     if before is None and after is None:
         raise ValueError("segment test needs at least one neighbor")
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
+    if not 1 <= gamma < math.inf:
+        raise ValueError("gamma must be at least 1 and finite")
     s2_during, n_during = float(during[0]), int(during[1])
     if n_during < 2:
         raise ValueError("during segment needs at least 2 samples")

@@ -135,14 +135,6 @@ def rss(estimate, truth) -> float:
     return float(np.sum(diff * diff))
 
 
-def locality_ratio(active: tuple[int, int], total_len: int) -> float:
-    """Signal duration over noise-only duration, ``len(A)/(T - len(A))``."""
-    length = active[1] - active[0]
-    if not 0 < length < total_len:
-        raise ValueError("active length must lie strictly between 0 and total_len")
-    return length / (total_len - length)
-
-
 def separability_check(cleaned_imf, a1: tuple[int, int], a2: tuple[int, int]) -> bool:
     """True when both bursts survive and at least half the gap is zeroed.
 
@@ -266,7 +258,7 @@ def run_benchmark(
                 else:  # wht or wit
                     est = np.sum(
                         [thresholds[method](imf.samples) for imf in d.imfs], axis=0
-                    ) if d.imfs else np.zeros(d.source_len)
+                    ) if d.imfs else np.zeros(d.residual.size)
                     value = rss(est, truth)
                 elapsed = time.perf_counter() - start
                 if method != "none":

@@ -16,8 +16,7 @@ from lcdsc.baselines import _family_subsets
 
 def make_decomposition(rows):
     rows = [np.asarray(r, dtype=float) for r in rows]
-    imfs = tuple(Imf(r, i + 1) for i, r in enumerate(rows))
-    return Decomposition(imfs, np.zeros(rows[0].size), rows[0].size)
+    return Decomposition(tuple(Imf(r) for r in rows), np.zeros(rows[0].size))
 
 
 @pytest.fixture()

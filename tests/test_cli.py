@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lcdsc
-from lcdsc import EmdConfig, LcdscConfig, lcdsc_clean
+from lcdsc import EmdConfig, LcdscConfig, keep_subset, lcdsc_clean
 from lcdsc.cli import _atomic_write, _matrix_csv, ingest, main
 
 
@@ -55,6 +55,15 @@ class TestIngest:
         path = tmp_path / "x.csv"
         path.write_text("0,5\n1,6\n2,7\n3,8\n")
         assert ingest(str(path)).samples.tolist() == [5.0, 6.0, 7.0, 8.0]
+
+    @pytest.mark.parametrize("name, text", [
+        ("x.csv", "0,1\n1,2\n2,3\n3,4\n4,5\n"),
+        ("x.txt", "1\n2\n3\n4\n5\n"),
+    ], ids=["csv", "plain"])
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert ingest(str(path)).samples.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_gap_names_offending_row(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -122,6 +131,7 @@ _HOSTILE_CONFIGS = {
     "repeated-key-spelling": (b"ensemble-size = 2\nensemble_size = 3\n", 1),
     "not-utf8": (b"\xff\xfe = 3\n", 2),
     "crlf": (b"gamma = 2\r\nensemble_size = 2\r\n", 0),
+    "utf8-bom": (b"\xef\xbb\xbfgamma = 2\nensemble_size = 2\n", 0),
     "huge-noise": (b"noise_amplitude = 1e308\n", 3),
     # passes eemd's noise-scale check, then overflows the change point prefix sums
     "noise-1e154": (b"noise_amplitude = 1e154\nensemble_size = 2\n", 3),
@@ -328,6 +338,37 @@ class TestClean:
         for name in ("report.json", "cleaned.csv", "cleaned_imfs.csv",
                      "changepoints.csv", "imfs.csv", "amplitudes.csv"):
             assert read(out1 / name) == read(out2 / name), name
+
+    def test_imfs_are_numbered_by_position(self, sim_dir, tmp_path):
+        """keep_subset, imfs.csv and report.json all read IMF j as d.imfs[j - 1]."""
+        out = tmp_path / "o"
+        assert run_cli("clean", str(sim_dir / "noisy.csv"), "--out-dir", str(out),
+                       "--ensemble-size", "3", "--seed", "5") == 0
+        report = lcdsc_clean(ingest(str(sim_dir / "noisy.csv")),
+                             LcdscConfig(emd=EmdConfig(ensemble_size=3, seed=5)))
+        d = report.decomposition
+        numbers = list(range(1, d.n_imfs + 1))
+
+        def load(name):
+            return np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2).T
+
+        header = (out / "imfs.csv").read_text().splitlines()[0].split(",")
+        assert header == [f"imf{j}" for j in numbers] + ["residual"]
+        imfs, cleaned_imfs = load("imfs.csv"), load("cleaned_imfs.csv")
+        for j in numbers:
+            assert np.array_equal(imfs[j - 1], d.imfs[j - 1].samples)
+            assert np.array_equal(keep_subset(d, (j,)), d.imfs[j - 1].samples)
+        doc = json.loads((out / "report.json").read_text())
+        assert [entry["imf"] for entry in doc["changepoints"]] == numbers
+        assert [entry["taus"] for entry in doc["changepoints"]] == [
+            list(cps.taus) for cps in report.changepoints
+        ]
+        assert doc["segments"]
+        for seg in doc["segments"]:
+            j, lo, hi = seg["imf"], seg["start"], seg["end"]
+            assert (lo, hi) in report.changepoints[j - 1].segments(d.residual.size)
+            kept = d.imfs[j - 1].samples[lo : hi + 1] if seg["significant"] else np.zeros(hi + 1 - lo)
+            assert np.array_equal(cleaned_imfs[j - 1][lo : hi + 1], kept)
 
     def test_runs_ensemble_on_calling_thread(self, sim_dir, tmp_path, monkeypatch):
         def no_thread(self):

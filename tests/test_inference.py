@@ -147,6 +147,8 @@ class TestFTestSegment:
             f_test_segment(None, (1.0, 10), None, 1.0)
         with pytest.raises(ValueError, match="gamma"):
             f_test_segment((1.0, 10), (1.0, 10), None, 0.5)
+        with pytest.raises(ValueError, match="gamma"):
+            f_test_segment((1.0, 10), (1.0, 10), None, float("nan"))
         with pytest.raises(ValueError):
             f_test_segment((1.0, 10), (1.0, 1), None, 1.0)
 

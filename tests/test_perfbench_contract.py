@@ -6,7 +6,10 @@ would crash every traced run.  Every ``perfbench/*.py`` file imports
 names from ``lcdsc`` and reads attributes off the ``lcdsc`` modules it
 imports; a deleted one would crash every benchmark run.
 ``perfbench/workloads.py`` calls ``lcdsc_clean`` and ``run_benchmark``
-with ``workers=1``.
+with ``workers=1``.  ``perfbench/run.py`` fails a traced op unless its
+``emd.trial`` count equals the op's ensemble trials, so ``eemd`` calls
+``emd`` once per trial and ``emd`` calls ``sift`` once per IMF, both
+through the ``lcdsc.emd`` module globals.
 """
 
 import ast
@@ -15,24 +18,49 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lcdsc import lcdsc_clean, run_benchmark
+from lcdsc import EmdConfig, LcdscConfig, lcdsc_clean, run_benchmark
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
 
-def _trace_points():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(module_name, attr) for module_name, attr, _, _ in module.TRACE_POINTS]
+    return module
+
+
+def _trace_points():
+    return [(module_name, attr) for module_name, attr, _, _ in _tracing().TRACE_POINTS]
 
 
 @pytest.mark.parametrize("module_name, attr", _trace_points())
 def test_trace_point_resolves_to_a_callable(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def test_traced_trials_and_sifts_are_counted():
+    tracing = _tracing()
+    t = np.arange(300)
+    noisy = np.sin(2 * np.pi * t / 25) + np.random.default_rng(0).normal(0, 0.3, t.size)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        lcdsc_clean(noisy, LcdscConfig(emd=EmdConfig(ensemble_size=3)))
+    finally:
+        tracer.uninstall()
+    (counts,) = tracing.op_counts(tracer.spans).values()
+    assert counts["emd.trial.calls"] == 3
+    assert counts["emd.sift.iterations"] > 0
+    # a trial's note is its IMF count; a sift that returned an IMF has a
+    # note, one that stopped on a monotonic remainder has none
+    widths = [s.note for s in tracer.spans if s.name == "emd.trial"]
+    assert None not in widths
+    assert sum(1 for s in tracer.spans if s.name == "emd.sift" and s.note is not None) == sum(widths)
 
 
 def _from_import(module_name, name):

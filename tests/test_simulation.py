@@ -13,7 +13,6 @@ from lcdsc import (
     double_doppler,
     instantaneous_frequency,
     local_doppler,
-    locality_ratio,
     rss,
     run_benchmark,
     separability_check,
@@ -46,11 +45,10 @@ class TestLocalDoppler:
         assert active == (100, 300)
 
     def test_matches_reference_dimensions(self):
-        noisy, truth, active = local_doppler(LocalSignalSpec(2500, 1000, 1500, 0.2, seed=2))
+        noisy, truth, _ = local_doppler(LocalSignalSpec(2500, 1000, 1500, 0.2, seed=2))
         assert len(noisy) == 2500
         assert np.all(truth[:1000] == 0)
         assert np.all(truth[1501:] == 0)
-        assert locality_ratio(active, 2500) == pytest.approx(0.25)
 
     def test_noise_variance(self):
         spec = LocalSignalSpec(2500, 1000, 1500, 0.3, seed=3)
@@ -141,19 +139,6 @@ class TestRss:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rss([1.0], [1.0, 2.0])
-
-
-class TestLocalityRatio:
-    def test_reference_values(self):
-        assert locality_ratio((1000, 1500), 2500) == pytest.approx(0.25)
-        assert locality_ratio((0, 500), 1000) == pytest.approx(1.0)
-        assert locality_ratio((0, 800), 1000) == pytest.approx(4.0)
-
-    def test_degenerate(self):
-        with pytest.raises(ValueError):
-            locality_ratio((0, 0), 100)
-        with pytest.raises(ValueError):
-            locality_ratio((0, 100), 100)
 
 
 class TestSeparability:
