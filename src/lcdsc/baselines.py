@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .emd import Decomposition, _as_1d_float
+from .emd import Decomposition, _as_1d_float, _integer
 from .simulation import rss
 
 _MAD_TO_SIGMA = 0.6745
@@ -24,7 +24,7 @@ ORACLE_FAMILIES = ("khigh", "llow", "band", "powerset")
 
 def keep_subset(d: Decomposition, indices) -> np.ndarray:
     """Sum of ``d.imfs[j - 1]`` over the given 1-based indices ``j``; none give zeros."""
-    kept = set(indices)
+    kept = {_integer(j, "an imf index") for j in indices}
     if not all(1 <= j <= d.n_imfs for j in kept):
         raise ValueError("imf indices out of range")
     out = np.zeros(d.residual.size)

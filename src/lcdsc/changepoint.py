@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import _as_1d_float, _frozen_copy
+from .emd import _as_1d_float, _frozen_copy, _integer
 
 _PENALTY_KINDS = ("aic", "bic", "mbic")
 
@@ -180,7 +180,7 @@ def detect_changepoints(
         likelihood evidence relative to the nominal sample count.
     """
     x = _as_1d_float(series)
-    if min_seg_len < 2:
+    if _integer(min_seg_len, "min_seg_len") < 2:
         raise ValueError("min_seg_len must be at least 2")
     if not 0 < penalty_scale < math.inf:
         raise ValueError("penalty_scale must be positive and finite")

@@ -40,6 +40,7 @@ from .emd import (
     EmdConfig,
     _as_1d_float,
     _frozen_copy,
+    _integer,
     _zero_crossings,
     eemd,
 )
@@ -78,7 +79,7 @@ class LcdscConfig:
             raise ValueError("gamma must be at least 1 and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if not self.min_seg_len >= 2:
+        if not _integer(self.min_seg_len, "min_seg_len") >= 2:
             raise ValueError("min_seg_len must be at least 2")
         if not 0 < self.penalty_scale < math.inf:
             raise ValueError("penalty_scale must be positive and finite")

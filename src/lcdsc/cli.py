@@ -1,5 +1,12 @@
 """Command-line frontend: decompose, clean, sweep gammas, simulate, benchmark.
 
+Each command reads its settings from one table of keys, each with its
+parser and help.  A flag is its key with dashes, spelled out in full (no
+abbreviations); a ``--config`` file of ``key = value`` lines sets the same
+keys, and a flag takes precedence over the file.  A command rejects a
+flag or key it does not read, and it checks its settings before it reads
+the input.
+
 Exit codes, picked by ``main`` alone from the exception's type: 0 success;
 1 usage error, a ``ValueError`` (a bad flag, key or value, a key set twice,
 or any argument the library rejects); 2 data error, an input file that
@@ -23,7 +30,7 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import chain
 
 import numpy as np
@@ -57,6 +64,9 @@ class DataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)  # a flag is only its full name
+
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
 
@@ -194,17 +204,10 @@ def _decomposition_columns(d: Decomposition) -> list[tuple[str, np.ndarray]]:
 
 
 def _report_doc(report: CleaningReport, files: dict[str, str]) -> dict:
-    cfg = report.config
-    config = {
-        "emd": asdict(cfg.emd),
-        "penalty": cfg.penalty.kind,
-        "beta": float(cfg.penalty.beta),
-        "min_seg_len": cfg.min_seg_len,
-        "gamma": float(cfg.gamma),
-        "alpha": float(cfg.alpha),
-        "include_residual": cfg.include_residual,
-        "penalty_scale": float(cfg.penalty_scale),
-    }
+    config = asdict(report.config)
+    penalty = config.pop("penalty")
+    config = {"emd": config.pop("emd"), "penalty": penalty["kind"], "beta": penalty["beta"],
+              **config}
     changepoints = [
         {"imf": i + 1, "taus": [int(t) for t in cps.taus]}
         for i, cps in enumerate(report.changepoints)
@@ -279,64 +282,55 @@ def _parse_max_imfs(text: str):
     return int(text)
 
 
-# config keys and their parsers; each flag is its key with dashes
+def _setting(parse, help: str, **flag) -> tuple:
+    """A settings-table entry: the key's parser and its flag's ``add_argument`` keywords."""
+    return parse, {"help": help, **flag}
+
+
+_EMD, _LCDSC = EmdConfig(), LcdscConfig()  # the defaults each help text names
+# each command's settings: key -> (parser, flag keywords); the flag is the key
+# with dashes, and the key is what a --config file sets
 _EMD_KEYS = {
-    "s_number": int,
-    "max_sift_iters": int,
-    "max_imfs": _parse_max_imfs,
-    "ensemble_size": int,
-    "noise_amplitude": float,
-    "seed": int,
+    "s_number": _setting(int, f"S-stoppage count (default {_EMD.s_number})"),
+    "max_sift_iters": _setting(int, f"sifting iteration cap (default {_EMD.max_sift_iters})"),
+    "max_imfs": _setting(_parse_max_imfs, "IMF cap, integer or 'auto' (default auto)"),
+    "ensemble_size": _setting(int, f"ensemble trials (default {_EMD.ensemble_size})"),
+    "noise_amplitude": _setting(float, "trial noise sd as a fraction of the signal sd "
+                                f"(default {_EMD.noise_amplitude})"),
+    "seed": _setting(int, f"random seed (default {_EMD.seed})"),
 }
-_LCDSC_KEYS = {
-    "gamma": float,
-    "alpha": float,
-    "penalty": str,
-    "beta": float,
-    "minseg": int,
-    "include_residual": _parse_bool,
-    "penalty_scale": float,
+_CLEAN_KEYS = {
+    "gamma": _setting(float, f"variance-ratio gate, >= 1 (default {_LCDSC.gamma:g})"),
+    "alpha": _setting(float, f"family-wise error rate (default {_LCDSC.alpha})"),
+    "penalty": _setting(str, f"change-point penalty (default {_LCDSC.penalty.kind})",
+                        choices=("aic", "bic", "mbic")),
+    "beta": _setting(float, "penalty per change point; only with --penalty aic"),
+    "minseg": _setting(int, "minimum segment length in amplitude cycles "
+                       f"(default {_LCDSC.min_seg_len})"),
+    "include_residual": _setting(_parse_bool, "add the decomposition residual to the cleaned "
+                                 "output", action="store_const", const="true"),
+    "penalty_scale": _setting(float, "penalty multiplier for correlated amplitudes "
+                              f"(default {_LCDSC.penalty_scale})"),
+    **_EMD_KEYS,
 }
-_CLEAN_KEYS = {**_EMD_KEYS, **_LCDSC_KEYS}
+_SWEEP_KEYS = {key: entry for key, entry in _CLEAN_KEYS.items() if key != "gamma"}  # from --gammas
 
 
-def _add_emd_flags(parser: argparse.ArgumentParser) -> None:
-    d = EmdConfig()
-    parser.add_argument("--s-number", help=f"S-stoppage count (default {d.s_number})")
-    parser.add_argument("--max-sift-iters",
-                        help=f"sifting iteration cap (default {d.max_sift_iters})")
-    parser.add_argument("--max-imfs", help="IMF cap, integer or 'auto' (default auto)")
-    parser.add_argument("--ensemble-size", help=f"ensemble trials (default {d.ensemble_size})")
-    parser.add_argument("--noise-amplitude", help="trial noise sd as a fraction of the signal sd "
-                        f"(default {d.noise_amplitude})")
-    parser.add_argument("--seed", help=f"random seed (default {d.seed})")
-
-
-def _add_clean_flags(parser: argparse.ArgumentParser) -> None:
-    _add_emd_flags(parser)
-    d = LcdscConfig()
-    parser.add_argument("--gamma", help=f"variance-ratio gate, >= 1 (default {d.gamma:g})")
-    parser.add_argument("--alpha", help=f"family-wise error rate (default {d.alpha})")
-    parser.add_argument("--penalty", choices=("aic", "bic", "mbic"),
-                        help=f"change-point penalty (default {d.penalty.kind})")
-    parser.add_argument("--beta", help="penalty per change point; only with --penalty aic")
-    parser.add_argument("--minseg", help="minimum segment length in amplitude cycles "
-                        f"(default {d.min_seg_len})")
-    parser.add_argument("--penalty-scale", help="penalty multiplier for correlated amplitudes "
-                        f"(default {d.penalty_scale})")
-    parser.add_argument("--include-residual", action="store_const", const="true",
-                        help="add the decomposition residual to the cleaned output")
+def _add_settings(parser: argparse.ArgumentParser, keys: dict) -> None:
+    for key, (_, flag) in keys.items():
+        parser.add_argument("--" + key.replace("_", "-"), **flag)
     parser.add_argument("--config", help="key = value config file; flags take precedence")
 
 
-def _user_values(args, file_cfg: dict[str, str], keys: dict) -> dict:
-    """Parse the settings the user gave, a flag before the config file.
+def _user_values(args, keys: dict) -> dict:
+    """Parse the settings of ``keys`` the user gave, a flag before the ``--config`` file.
 
     Keys set in neither are left out, so the config dataclasses supply
     every default.
     """
+    file_cfg = _parse_config_file(args.config, set(keys)) if args.config else {}
     values = {}
-    for key, parse in keys.items():
+    for key, (parse, _) in keys.items():
         text = getattr(args, key)
         if text is None:
             text = file_cfg.get(key)
@@ -349,12 +343,9 @@ def _user_values(args, file_cfg: dict[str, str], keys: dict) -> dict:
     return values
 
 
-def _emd_config(args, file_cfg: dict[str, str]) -> EmdConfig:
-    return EmdConfig(**_user_values(args, file_cfg, _EMD_KEYS))
-
-
-def _clean_config(args, file_cfg: dict[str, str]) -> LcdscConfig:
-    values = _user_values(args, file_cfg, _LCDSC_KEYS)
+def _clean_config(args, keys: dict) -> LcdscConfig:
+    values = _user_values(args, keys)
+    emd = {key: values.pop(key) for key in _EMD_KEYS if key in values}
     kind, beta = values.pop("penalty", None), values.pop("beta", None)
     if "minseg" in values:
         values["min_seg_len"] = values.pop("minseg")
@@ -363,7 +354,7 @@ def _clean_config(args, file_cfg: dict[str, str]) -> LcdscConfig:
     if kind is not None:
         # aic without a beta is rejected by Penalty
         values["penalty"] = Penalty(kind, beta) if beta is not None else Penalty(kind)
-    return LcdscConfig(emd=_emd_config(args, file_cfg), **values)
+    return LcdscConfig(emd=EmdConfig(**emd), **values)
 
 
 def _write_report_bundle(report: CleaningReport, out_dir: str) -> None:
@@ -386,10 +377,8 @@ def _write_report_bundle(report: CleaningReport, out_dir: str) -> None:
 
 
 def _cmd_decompose(args) -> int:
-    file_cfg = _parse_config_file(args.config, set(_EMD_KEYS)) if args.config else {}
-    series = ingest(args.input, args.format)
-    config = _emd_config(args, file_cfg)
-    d = eemd(series, config)
+    config = EmdConfig(**_user_values(args, _EMD_KEYS))
+    d = eemd(ingest(args.input, args.format), config)
     _atomic_write(os.path.join(args.out_dir, "imfs.csv"), _matrix_csv(_decomposition_columns(d)))
     if args.amplitudes:
         cols = [(f"amp{j}", instantaneous_amplitude(imf.samples))
@@ -399,18 +388,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_clean(args) -> int:
-    file_cfg = _parse_config_file(args.config, set(_CLEAN_KEYS)) if args.config else {}
-    series = ingest(args.input, args.format)
-    config = _clean_config(args, file_cfg)
-    report = lcdsc_clean(series, config)
+    config = _clean_config(args, _CLEAN_KEYS)
+    report = lcdsc_clean(ingest(args.input, args.format), config)
     _write_report_bundle(report, args.out_dir)
     return 0
 
 
 def _cmd_sweep_gamma(args) -> int:
-    file_cfg = _parse_config_file(args.config, set(_CLEAN_KEYS)) if args.config else {}
-    series = ingest(args.input, args.format)
-    config = _clean_config(args, file_cfg)
+    config = _clean_config(args, _SWEEP_KEYS)
     try:
         gammas = [float(g) for g in args.gammas.split(",") if g.strip()]
     except ValueError:
@@ -422,7 +407,9 @@ def _cmd_sweep_gamma(args) -> int:
         first = out_dirs.index(out_dirs[i])
         if first < i:
             raise UsageError(f"gammas {gammas[first]!r} and {g!r} would both write {out_dirs[i]}")
-    reports = gamma_sweep(series, gammas, config)
+    for g in gammas:
+        replace(config, gamma=g)  # LcdscConfig checks each gamma before the input is read
+    reports = gamma_sweep(ingest(args.input, args.format), gammas, config)
     for out_dir, report in zip(out_dirs, reports):
         _write_report_bundle(report, out_dir)
     return 0
@@ -444,9 +431,8 @@ def _cmd_simulate(args) -> int:
              if args.kind not in kinds and getattr(args, dest) is not None]
     if stray:
         raise UsageError(f"simulate {args.kind} does not take {', '.join(stray)}")
-    seed = args.seed if args.seed is not None else 0
-    sigma = args.sigma if args.sigma is not None else 0.2
-    meta: dict = {"kind": args.kind, "sigma": float(sigma), "seed": seed}
+    sigma, seed = args.sigma, args.seed
+    meta: dict = {"kind": args.kind, "sigma": sigma, "seed": seed}
     if args.kind == "doppler":
         t_len = args.T if args.T is not None else 2500
         a_start = args.a_start if args.a_start is not None else (2 * t_len) // 5
@@ -499,8 +485,7 @@ def _parse_grid_file(path: str) -> list[tuple[int, float, float]]:
 def _cmd_bench(args) -> int:
     grid = _parse_grid_file(args.grid)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    file_cfg = _parse_config_file(args.config, set(_CLEAN_KEYS)) if args.config else {}
-    config = _clean_config(args, file_cfg)
+    config = _clean_config(args, _CLEAN_KEYS)
     results = run_benchmark(methods, grid, args.replicates, config.emd.seed, config=config)
     _atomic_write(args.out, [bench_table(results, timing=args.timing)])
     return 0
@@ -509,36 +494,31 @@ def _cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lcdsc", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
+    recording = _Parser(add_help=False)  # the input file and the output directory
+    recording.add_argument("input")
+    recording.add_argument("--out-dir", required=True)
+    recording.add_argument("--format", choices=("auto", "csv", "plain"), default="auto")
 
-    p = sub.add_parser("decompose", help="decompose a recording into IMFs")
-    p.add_argument("input")
-    p.add_argument("--out-dir", required=True)
+    p = sub.add_parser("decompose", parents=[recording], help="decompose a recording into IMFs")
     p.add_argument("--amplitudes", action="store_true", help="also write instantaneous amplitudes")
-    p.add_argument("--format", choices=("auto", "csv", "plain"), default="auto")
-    p.add_argument("--config", default=None)
-    _add_emd_flags(p)
+    _add_settings(p, _EMD_KEYS)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("clean", help="run the full cleaning pipeline")
-    p.add_argument("input")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--format", choices=("auto", "csv", "plain"), default="auto")
-    _add_clean_flags(p)
+    p = sub.add_parser("clean", parents=[recording], help="run the full cleaning pipeline")
+    _add_settings(p, _CLEAN_KEYS)
     p.set_defaults(func=_cmd_clean)
 
-    p = sub.add_parser("sweep-gamma", help="clean at several gamma gates, reusing one decomposition")
-    p.add_argument("input")
+    p = sub.add_parser("sweep-gamma", parents=[recording],
+                       help="clean at several gamma gates, reusing one decomposition")
     p.add_argument("--gammas", required=True, help="comma-separated gamma values, each >= 1")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--format", choices=("auto", "csv", "plain"), default="auto")
-    _add_clean_flags(p)
+    _add_settings(p, _SWEEP_KEYS)
     p.set_defaults(func=_cmd_sweep_gamma)
 
     p = sub.add_parser("simulate", help="generate a synthetic test recording")
     p.add_argument("kind", choices=("doppler", "chirp", "double"))
     p.add_argument("--out", required=True, help="output directory (noisy.csv, truth.csv, meta.json)")
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--sigma", type=float, default=0.2)
+    p.add_argument("--seed", type=int, default=0)
     for dest, (parse, kinds) in _SIMULATE_FLAGS.items():
         p.add_argument(f"--{dest.replace('_', '-')}", type=parse, help="/".join(kinds) + " only")
     p.set_defaults(func=_cmd_simulate)
@@ -550,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--timing", action="store_true",
                    help="record wall seconds (breaks byte-reproducibility)")
-    _add_clean_flags(p)
+    _add_settings(p, _CLEAN_KEYS)
     p.set_defaults(func=_cmd_bench)
 
     return parser

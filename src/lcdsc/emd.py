@@ -37,6 +37,19 @@ class MonotonicComponent(ValueError):
     """Raised when a series has too few extrema to build both envelopes."""
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int: numpy integers pass, floats (NaN and 3.0 among them) do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
+def _seed_bits(seed) -> int:
+    """The 64 bits an integer seed of any sign gives the generators."""
+    return _integer(seed, "seed") & _SEED_MASK
+
+
 def _as_1d_float(values, name: str = "series") -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
@@ -67,8 +80,8 @@ class TimeSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen_copy(_as_1d_float(self.samples, "samples")))
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:  # NaN fails it
+            raise ValueError("dt must be positive and finite")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -139,14 +152,11 @@ class EmdConfig:
         # counts are integers (numpy's too) of at least 1: floats, NaN among them, fail
         for name in ("s_number", "max_sift_iters", "max_imfs", "ensemble_size"):
             value = getattr(self, name)
-            try:
-                ok = (name == "max_imfs" and value is None) or operator.index(value) >= 1
-            except TypeError:
-                ok = False
-            if not ok:
+            if (name != "max_imfs" or value is not None) and _integer(value, name) < 1:
                 raise ValueError(f"{name} must be an integer of at least 1")
         if not 0 <= self.noise_amplitude < math.inf:
             raise ValueError("noise_amplitude must be nonnegative and finite")
+        _seed_bits(self.seed)
 
 
 def find_extrema(series) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +374,7 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
     if not math.isfinite(scale * scale):
         raise OverflowError(f"noise scale {scale:.3g} (noise_amplitude * std) overflows: "
                             "its variance is not a finite float")
-    seed = config.seed & _SEED_MASK
+    seed = _seed_bits(config.seed)
 
     # per-index running sums in trial order: the same additions, in the same
     # order, as a mean over a zero-padded (trials, width, n) stack

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emd import TimeSeries, _as_1d_float, _MIN_SAMPLES, _SEED_MASK, eemd
+from .emd import TimeSeries, _as_1d_float, _integer, _MIN_SAMPLES, _seed_bits, eemd
 
 METHOD_NAMES = ("lcdsc", "khigh", "llow", "band", "powerset", "wht", "wit", "none")
 
@@ -33,6 +33,8 @@ class LocalSignalSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("total_len", "a_start", "a_end", "seed"):
+            _integer(getattr(self, name), name)
         if not 0 <= self.a_start <= self.a_end < self.total_len:
             raise ValueError("active interval must satisfy 0 <= a_start <= a_end < total_len")
         if not 0 <= self.noise_sigma < math.inf:
@@ -80,14 +82,16 @@ def local_doppler(spec: LocalSignalSpec) -> tuple[TimeSeries, np.ndarray, tuple[
     window = slice(spec.a_start, spec.a_end + 1)
     u = (t[window] - spec.a_start) / (spec.a_end - spec.a_start)
     truth[window] = doppler(u)
-    rng = np.random.default_rng(spec.seed & _SEED_MASK)
+    rng = np.random.default_rng(_seed_bits(spec.seed))
     noisy = truth + rng.normal(0.0, spec.noise_sigma, spec.total_len)
     return TimeSeries(noisy), truth, (spec.a_start, spec.a_end)
 
 
 def chirp(t_len: int, f0: float, f1: float, sigma: float = 0.0, seed: int = 0, dt: float = 1.0) -> TimeSeries:
     """Unit-amplitude linear chirp sweeping f0 to f1, plus white noise."""
-    if t_len < 4:
+    if not 0 < dt < math.inf:  # NaN fails it
+        raise ValueError("dt must be positive and finite")
+    if _integer(t_len, "t_len") < 4:
         raise ValueError("chirp needs at least 4 samples")
     if not (abs(f0) <= 0.5 / dt and abs(f1) <= 0.5 / dt):
         raise ValueError("chirp frequencies must be numbers within the Nyquist limit")
@@ -96,7 +100,7 @@ def chirp(t_len: int, f0: float, f1: float, sigma: float = 0.0, seed: int = 0, d
     t = np.arange(t_len) * dt
     duration = t_len * dt
     phase = 2.0 * np.pi * (f0 * t + (f1 - f0) * t * t / (2.0 * duration))
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    rng = np.random.default_rng(_seed_bits(seed))
     return TimeSeries(np.sin(phase) + rng.normal(0.0, sigma, t_len), dt)
 
 
@@ -109,7 +113,7 @@ def double_doppler(
     length ``2000 + delta``.  Returns ``(noisy, truth, a1, a2)`` with the
     active windows as half-open ``(start, stop)`` pairs.
     """
-    if delta < 0:
+    if _integer(delta, "delta") < 0:
         raise ValueError("delta must be nonnegative")
     if not 0 <= sigma < math.inf:
         raise ValueError("sigma must be finite and nonnegative")
@@ -120,7 +124,7 @@ def double_doppler(
     for start, stop in (a1, a2):
         t = np.arange(start, stop)
         truth[start:stop] = doppler((t - start) / (stop - start))
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    rng = np.random.default_rng(_seed_bits(seed))
     noisy = truth + rng.normal(0.0, sigma, n)
     return TimeSeries(noisy), truth, a1, a2
 
@@ -159,7 +163,7 @@ def doppler_grid(t_lens, sigmas, localities=(0.25,)) -> list[tuple[int, float, f
 
 def instance_seed(base_seed: int, cell_index: int, replicate: int) -> int:
     """Stable per-instance seed derived from (base seed, cell, replicate)."""
-    ss = np.random.SeedSequence([base_seed & _SEED_MASK, cell_index, replicate])
+    ss = np.random.SeedSequence([_seed_bits(base_seed), cell_index, replicate])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -228,7 +232,7 @@ def run_benchmark(
     repeated = sorted({cell for cell in grid if grid.count(cell) > 1})
     if repeated:
         raise ValueError(f"repeated grid cell(s): {', '.join(map(str, repeated))}")
-    if replicates < 1:
+    if _integer(replicates, "replicates") < 1:
         raise ValueError("replicates must be at least 1")
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}: the ensemble runs on "

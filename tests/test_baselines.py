@@ -64,6 +64,8 @@ class TestKeepSubset:
             keep_subset(seven_imfs, (8,))
         with pytest.raises(ValueError):
             keep_subset(seven_imfs, (0,))
+        with pytest.raises(ValueError, match="imf index must be an integer"):
+            keep_subset(seven_imfs, (1.5,))
 
 
 class TestOracleSelect:

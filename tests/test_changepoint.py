@@ -239,6 +239,9 @@ class TestDetect:
             detect_changepoints(np.ones(15), Penalty.bic(), 10)
         with pytest.raises(ValueError, match="min_seg_len"):
             detect_changepoints(np.ones(15), Penalty.bic(), 1)
+        for bad in (2.5, math.nan, 3.0):
+            with pytest.raises(ValueError, match="min_seg_len must be an integer"):
+                detect_changepoints(np.ones(30), Penalty.bic(), bad)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="penalty_scale"):
                 detect_changepoints(np.ones(30), Penalty.bic(), 10, penalty_scale=bad)

@@ -238,6 +238,9 @@ class TestConfigValidation:
             LcdscConfig(alpha=0.0)
         with pytest.raises(ValueError):
             LcdscConfig(min_seg_len=1)
+        for bad in (2.5, math.nan, 3.0):
+            with pytest.raises(ValueError, match="min_seg_len must be an integer"):
+                LcdscConfig(min_seg_len=bad)
         with pytest.raises(ValueError):
             LcdscConfig(penalty_scale=0.0)
 

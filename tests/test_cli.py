@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import lcdsc
 from lcdsc import EmdConfig, LcdscConfig, keep_subset, lcdsc_clean
+from lcdsc import cli
 from lcdsc.cli import _atomic_write, _matrix_csv, ingest, main
 
 
@@ -426,6 +428,32 @@ class TestClean:
 
 
 class TestSettings:
+    @pytest.mark.parametrize("command, table", [
+        ("decompose", "_EMD_KEYS"), ("clean", "_CLEAN_KEYS"), ("sweep-gamma", "_SWEEP_KEYS"),
+        ("bench", "_CLEAN_KEYS"),
+    ])
+    def test_help_names_each_key_of_its_table_once(self, capsys, command, table):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        options = capsys.readouterr().out.split("options:")[1]
+        flags = re.findall(r"^ +(--[a-z-]+)", options, re.MULTILINE)
+        for key in getattr(cli, table):
+            assert flags.count("--" + key.replace("_", "-")) == 1, (key, flags)
+
+    def test_abbreviated_flag_is_usage_error(self, sim_dir, tmp_path, capsys):
+        assert run_cli("clean", str(sim_dir / "noisy.csv"), "--out-dir", str(tmp_path / "x"),
+                       "--ensemble", "2") == 1
+        assert "unrecognized arguments: --ensemble 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("args", [("clean", "--gamma", "0.2"),
+                                      ("sweep-gamma", "--gammas", "2,0.2")])
+    def test_settings_are_checked_before_the_input_is_read(self, tmp_path, capsys, args):
+        command, *flags = args
+        assert run_cli(command, str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "x"),
+                       *flags) == 1
+        assert "gamma must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["decompose", "clean"])
     def test_unparsable_flag_is_usage_error(self, sim_dir, tmp_path, command):
         assert run_cli(command, str(sim_dir / "noisy.csv"), "--out-dir", str(tmp_path / "x"),
@@ -492,6 +520,18 @@ class TestSweepGamma:
             values = [float(v) for v in path.read_text().splitlines()[1:]]
             counts.append(sum(1 for v in values if v != 0.0))
         assert counts[0] >= counts[1] >= counts[2]
+
+    def test_gamma_setting_is_usage_error(self, sim_dir, tmp_path, capsys):
+        # the sweep reads gamma only from --gammas
+        common = ("sweep-gamma", str(sim_dir / "noisy.csv"), "--gammas", "1",
+                  "--out-dir", str(tmp_path / "x"), "--ensemble-size", "2")
+        assert run_cli(*common, "--gamma", "7") == 1
+        assert "unrecognized arguments: --gamma 7" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 9\n")
+        assert run_cli(*common, "--config", str(cfg)) == 1
+        assert "unknown key 'gamma'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_gammas(self, sim_dir, tmp_path):
         assert run_cli("sweep-gamma", str(sim_dir / "noisy.csv"), "--gammas", "0.5,2",

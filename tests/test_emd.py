@@ -438,12 +438,20 @@ class TestConfigValidation:
             EmdConfig(noise_amplitude=-0.1)
         nan = float("nan")
         for name, bad in (("s_number", nan), ("max_sift_iters", nan), ("ensemble_size", 2.5),
-                          ("max_imfs", nan), ("max_imfs", 3.0), ("max_sift_iters", 0)):
+                          ("max_imfs", nan), ("max_imfs", 3.0), ("max_sift_iters", 0),
+                          ("seed", 1.5), ("seed", nan), ("seed", 3.0)):
             with pytest.raises(ValueError, match=name):
                 EmdConfig(**{name: bad})
         EmdConfig(s_number=np.int64(3), ensemble_size=np.int32(2), max_imfs=np.int64(4))
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise_amplitude"):
                 EmdConfig(noise_amplitude=bad)
-        with pytest.raises(ValueError):
-            TimeSeries([1.0, 2.0], dt=0.0)
+        EmdConfig(seed=-(2**70))  # any sign and size; its low 64 bits seed the ensemble
+        for bad in (0.0, -1.0, nan, float("inf")):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                TimeSeries([1.0, 2.0], dt=bad)
+
+    def test_numpy_integer_seed_is_its_value(self):
+        x = np.sin(np.arange(300) / 3.0) + np.random.default_rng(0).normal(0.0, 0.3, 300)
+        a = eemd(x, EmdConfig(ensemble_size=3, seed=np.int64(3)))
+        assert bitwise_equal(a, eemd(x, EmdConfig(ensemble_size=3, seed=3)))

@@ -9,9 +9,11 @@ imports; a deleted one would crash every benchmark run.
 with ``workers=1``.  ``perfbench/run.py`` fails a traced op unless its
 ``emd.trial`` count equals the op's ensemble trials, so ``eemd`` calls
 ``emd`` once per trial and ``emd`` calls ``sift`` once per IMF, both
-through the ``lcdsc.emd`` module globals.
+through the ``lcdsc.emd`` module globals.  ``cli-long-k12`` runs
+``lcdsc simulate`` and ``lcdsc clean``, which accept only full flag names.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from lcdsc import EmdConfig, LcdscConfig, lcdsc_clean, run_benchmark
+from lcdsc.cli import build_parser
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -126,3 +129,15 @@ def test_workload_calls_bind():
     inspect.signature(run_benchmark).bind(
         "methods", "grid", 1, "seed", "config", workers=1
     )
+
+
+def test_workload_flags_are_full_option_strings():
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = set(commands["simulate"]._option_string_actions)
+    options |= set(commands["clean"]._option_string_actions)
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    flags = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and isinstance(node.value, str) and node.value.startswith("--")}
+    assert flags  # an empty scan would make the check vacuous
+    assert flags <= options, sorted(flags - options)

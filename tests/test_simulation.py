@@ -67,6 +67,20 @@ class TestLocalDoppler:
         with pytest.raises(ValueError):
             local_doppler(LocalSignalSpec(100, 50, 50, 0.1, seed=0))
 
+    @pytest.mark.parametrize("name, args", [
+        ("total_len", (100.5, 20, 40)), ("a_start", (100, 20.0, 40)), ("a_end", (100, 20, 40.5)),
+    ])
+    def test_positions_must_be_integers(self, name, args):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            LocalSignalSpec(*args, 0.1)
+
+    def test_numpy_integer_seed_is_its_value(self):
+        a, _, _ = local_doppler(LocalSignalSpec(100, 20, 40, 0.1, seed=np.int64(4)))
+        b, _, _ = local_doppler(LocalSignalSpec(100, 20, 40, 0.1, seed=4))
+        assert np.array_equal(a.samples, b.samples)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            LocalSignalSpec(100, 20, 40, 0.1, seed=1.5)
+
 
 class TestChirp:
     def test_constant_tone_when_flat(self):
@@ -94,6 +108,15 @@ class TestChirp:
         with pytest.raises(ValueError, match="Nyquist"):
             chirp(100, 0.1, 0.7, 0.0, seed=0)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+    def test_sample_interval_must_be_positive_and_finite(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            chirp(100, 0.01, 0.1, dt=dt)
+
+    def test_length_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="t_len must be an integer"):
+            chirp(100.5, 0.01, 0.1)
+
 
 class TestDoubleDoppler:
     def test_reference_layout(self):
@@ -116,6 +139,10 @@ class TestDoubleDoppler:
     def test_negative_delta(self):
         with pytest.raises(ValueError):
             double_doppler(-1, 0.2)
+
+    def test_delta_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="delta must be an integer"):
+            double_doppler(200.0, 0.2)
 
 
 class TestRss:
@@ -186,10 +213,21 @@ class TestRunBenchmark:
     @pytest.mark.parametrize("methods, grid, match", [
         ([], [(400, 0.3, 0.25)], "at least one method"),
         (["none"], [(400, 0.3, 0.25)] * 2, r"repeated grid cell\(s\): \(400, 0.3, 0.25\)"),
-    ], ids=["no-method", "repeated-cell"])
+        (["none"], [(100.5, 0.2, 0.25)], "total_len must be an integer"),
+    ], ids=["no-method", "repeated-cell", "fractional-T"])
     def test_bad_arguments_rejected(self, methods, grid, match):
         with pytest.raises(ValueError, match=match):
             run_benchmark(methods, grid, 1, 0)
+
+    def test_replicates_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="replicates must be an integer"):
+            run_benchmark(["none"], [(100, 0.2, 0.25)], 2.5)
+
+    def test_numpy_integer_base_seed_is_its_value(self):
+        config = LcdscConfig(emd=EmdConfig(ensemble_size=2))
+        a, b = (run_benchmark(["none"], [(100, 0.2, 0.25)], 2, seed, config)
+                for seed in (np.int64(4), 4))
+        assert bench_table(a) == bench_table(b)
 
     def test_bad_cell_rejected_before_any_decomposition(self, monkeypatch):
         calls = []
