@@ -7,7 +7,8 @@ highest, l lowest, contiguous band, any subset) for the best residual sum
 of squares against a known truth, giving each family its performance
 upper bound.  The wavelet-style baselines threshold each IMF against the
 universal threshold with a MAD noise estimate, either sample by sample
-(hard) or whole inter-zero-crossing intervals at a time.
+(hard) or whole inter-zero-crossing intervals at a time; they and the
+noise estimate reject an empty or non-finite IMF.
 """
 
 from __future__ import annotations
@@ -70,11 +71,18 @@ def oracle_select(d: Decomposition, truth, family: str) -> tuple[tuple[int, ...]
     return best, value
 
 
-def noise_sigma(imf) -> float:
-    """Robust noise scale: median absolute deviation over 0.6745."""
+def _checked_imf(imf) -> np.ndarray:
     x = _as_1d_float(imf, "imf")
     if x.size == 0:
         raise ValueError("empty series")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("invalid samples: input contains non-finite values")
+    return x
+
+
+def noise_sigma(imf) -> float:
+    """Robust noise scale: median absolute deviation over 0.6745."""
+    x = _checked_imf(imf)
     return float(np.median(np.abs(x - np.median(x))) / _MAD_TO_SIGMA)
 
 
@@ -84,9 +92,7 @@ def _universal_threshold(x: np.ndarray) -> float:
 
 def wavelet_hard_threshold(imf) -> np.ndarray:
     """Zero every sample at or below the universal threshold."""
-    x = _as_1d_float(imf, "imf")
-    if x.size == 0:
-        raise ValueError("empty series")
+    x = _checked_imf(imf)
     out = x.copy()
     out[np.abs(x) <= _universal_threshold(x)] = 0.0
     return out
@@ -99,9 +105,7 @@ def wavelet_interval_threshold(imf) -> np.ndarray:
     its entirety when its extremum magnitude exceeds the universal
     threshold, otherwise the whole interval is zeroed.
     """
-    x = _as_1d_float(imf, "imf")
-    if x.size == 0:
-        raise ValueError("empty series")
+    x = _checked_imf(imf)
     threshold = _universal_threshold(x)
     signs = np.sign(x)
     # exact zeros extend the preceding interval

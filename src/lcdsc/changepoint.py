@@ -2,7 +2,7 @@
 
 Segments a series under the Gaussian variance likelihood cost
 ``n_seg * log(max(var, var_floor))`` (biased MLE variance about the
-segment mean) plus a model-selection penalty, and returns the global
+segment mean) plus an aic, bic or mbic penalty, and returns the global
 minimizer via the optimal-partitioning recursion (Jackson et al. 2005),
 exact up to rounding ties.  Every admissible start of the last segment is
 scanned at every step, with no pruning, so a series of ``n`` samples
@@ -27,28 +27,20 @@ _PENALTY_KINDS = ("aic", "bic", "mbic")
 
 @dataclass(frozen=True)
 class Penalty:
-    """Model-selection penalty: ``aic`` (beta per change), ``bic``, or ``mbic``."""
+    """Model-selection penalty: ``aic`` (``beta`` per change), ``bic``, or
+    ``mbic``; ``beta`` must stay 0 for the last two."""
 
     kind: str
     beta: float = 0.0
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         if self.kind not in _PENALTY_KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {_PENALTY_KINDS}")
         if self.kind == "aic" and not 0 < self.beta < math.inf:
             raise ValueError("aic penalty requires a finite beta > 0")
-
-    @classmethod
-    def aic(cls, beta: float) -> "Penalty":
-        return cls("aic", beta)
-
-    @classmethod
-    def bic(cls) -> "Penalty":
-        return cls("bic")
-
-    @classmethod
-    def mbic(cls) -> "Penalty":
-        return cls("mbic")
+        if self.kind != "aic" and not self.beta == 0:
+            raise ValueError("beta applies only to the aic penalty")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +49,6 @@ class SegStats:
 
     prefix_sum: np.ndarray
     prefix_sumsq: np.ndarray
-    n: int
     var_floor: float
 
     @classmethod
@@ -71,7 +62,7 @@ class SegStats:
             var_floor = 1e-12 * (float(np.var(x)) + 1e-300)
         if not (math.isfinite(prefix_sumsq[-1]) and math.isfinite(var_floor)):
             raise OverflowError("series too large: its sum of squares or variance overflows")
-        return cls(_frozen_copy(prefix_sum), _frozen_copy(prefix_sumsq), x.size, var_floor)
+        return cls(_frozen_copy(prefix_sum), _frozen_copy(prefix_sumsq), var_floor)
 
 
 @dataclass(frozen=True)
@@ -79,14 +70,11 @@ class ChangePointSet:
     """Detected change points with the objective value that selected them.
 
     A change at ``tau`` splits the series into ``[.., tau]`` and
-    ``[tau+1, ..]``; ``taus`` is strictly increasing and every implied
-    segment has at least ``min_seg_len`` samples.
+    ``[tau+1, ..]``; ``taus`` is strictly increasing.
     """
 
     taus: tuple[int, ...]
     total_cost: float
-    penalty: Penalty
-    min_seg_len: int
 
     def segments(self, n: int) -> list[tuple[int, int]]:
         """Inclusive ``(start, end)`` bounds of every implied segment."""
@@ -100,7 +88,7 @@ def segment_cost(stats: SegStats, i: int, j: int) -> float:
     n_seg = j - i + 1
     if n_seg < 2:
         raise ValueError("segment too short: cost needs at least 2 samples")
-    if i < 0 or j >= stats.n:
+    if i < 0 or j >= stats.prefix_sum.size - 1:
         raise ValueError("segment out of bounds")
     total = stats.prefix_sum[j + 1] - stats.prefix_sum[i]
     total_sq = stats.prefix_sumsq[j + 1] - stats.prefix_sumsq[i]
@@ -109,36 +97,44 @@ def segment_cost(stats: SegStats, i: int, j: int) -> float:
     return n_seg * math.log(max(var, stats.var_floor))
 
 
-def penalty_value(penalty: Penalty, m: int, n: int, seg_lengths) -> float:
-    """Penalty term for ``m`` change points with the given segment lengths.
-
-    ``aic`` charges ``beta`` per change, ``bic`` charges ``log(n)`` per
-    change, and ``mbic`` charges ``3*log(n)`` per change plus ``log`` of
-    every segment length (the modified BIC of the change-point
-    literature, which also grades the change locations).
-    """
-    lengths = [int(v) for v in seg_lengths]
-    if m < 0 or len(lengths) != m + 1 or sum(lengths) != n:
-        raise ValueError("inconsistent segment lengths for penalty evaluation")
+def _change_charge(penalty: Penalty, m: int, n: int) -> float:
+    """What ``m`` change points in ``n`` samples cost, before mbic's length term."""
     if penalty.kind == "aic":
         return penalty.beta * m
     if penalty.kind == "bic":
         return m * math.log(n)
-    return 3.0 * m * math.log(n) + sum(math.log(length) for length in lengths)
+    return 3.0 * m * math.log(n)
+
+
+def penalty_value(penalty: Penalty, seg_lengths) -> float:
+    """Penalty term of a segmentation into ``m + 1`` segments of ``n`` samples in all.
+
+    ``aic`` charges ``beta`` per change, ``bic`` ``log(n)`` per change, and
+    ``mbic`` ``3*log(n)`` per change plus ``log`` of every segment length
+    (the modified BIC of Zhang & Siegmund 2007, which also grades the
+    change locations).
+    """
+    lengths = [_integer(v, "a segment length") for v in seg_lengths]
+    if not lengths or min(lengths) < 1:
+        raise ValueError("segment lengths must be one or more integers of at least 1")
+    charge = _change_charge(penalty, len(lengths) - 1, sum(lengths))
+    if penalty.kind == "mbic":
+        charge += sum(math.log(length) for length in lengths)
+    return charge
 
 
 def _objective(
     stats: SegStats, taus: tuple[int, ...], penalty: Penalty, penalty_scale: float = 1.0
 ) -> float:
     """Canonical objective: left-to-right segment costs plus the penalty."""
-    n = stats.n
+    n = stats.prefix_sum.size - 1
     starts = [0] + [tau + 1 for tau in taus]
     ends = list(taus) + [n - 1]
     total = 0.0
     for i, j in zip(starts, ends):
         total += segment_cost(stats, i, j)
     lengths = [j - i + 1 for i, j in zip(starts, ends)]
-    return total + penalty_scale * penalty_value(penalty, len(taus), n, lengths)
+    return total + penalty_scale * penalty_value(penalty, lengths)
 
 
 def _taus_ending_at(prev: np.ndarray, s: int) -> tuple[int, ...]:
@@ -194,13 +190,7 @@ def detect_changepoints(
     msl = min_seg_len
 
     mbic = penalty.kind == "mbic"
-    if penalty.kind == "aic":
-        per_change = penalty.beta
-    elif penalty.kind == "bic":
-        per_change = math.log(n)
-    else:
-        per_change = 3.0 * math.log(n)
-    per_change *= penalty_scale
+    per_change = _change_charge(penalty, 1, n) * penalty_scale
 
     # admissible starts of a last segment ending before t are 0 and
     # msl..t-msl, the first 1 + max(0, t - 2*msl + 1) entries of this array;
@@ -250,9 +240,4 @@ def detect_changepoints(
         prev[t] = all_starts[best_pos]
 
     taus = _taus_ending_at(prev, int(prev[n]))
-    return ChangePointSet(
-        taus=taus,
-        total_cost=_objective(stats, taus, penalty, penalty_scale),
-        penalty=penalty,
-        min_seg_len=min_seg_len,
-    )
+    return ChangePointSet(taus, _objective(stats, taus, penalty, penalty_scale))

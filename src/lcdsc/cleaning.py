@@ -153,7 +153,7 @@ def _detect_stage(
     msl = config.min_seg_len
     diagnostics = list(d.diagnostics)
     analyses = []
-    empty = ChangePointSet((), 0.0, config.penalty, msl)
+    empty = ChangePointSet((), 0.0)
     for j, imf in enumerate(d.imfs, start=1):
         amp = instantaneous_amplitude(imf.samples)
         stride, factor = _cycle_stride(imf.samples, n)
@@ -172,7 +172,7 @@ def _detect_stage(
             continue
         cps = detect_changepoints(sampled, config.penalty, msl, config.penalty_scale)
         taus_full = tuple(int((tau + 1) * stride - 1) for tau in cps.taus)
-        full_view = ChangePointSet(taus_full, cps.total_cost, cps.penalty, msl)
+        full_view = ChangePointSet(taus_full, cps.total_cost)
         segments = ()
         if cps.taus:
             segments = tuple(

@@ -351,9 +351,8 @@ def _clean_config(args, keys: dict) -> LcdscConfig:
         values["min_seg_len"] = values.pop("minseg")
     if beta is not None and kind != "aic":
         raise UsageError("beta applies only to the aic penalty")
-    if kind is not None:
-        # aic without a beta is rejected by Penalty
-        values["penalty"] = Penalty(kind, beta) if beta is not None else Penalty(kind)
+    if kind is not None:  # aic without a beta is rejected by Penalty
+        values["penalty"] = Penalty(kind, beta or 0.0)
     return LcdscConfig(emd=EmdConfig(**emd), **values)
 
 

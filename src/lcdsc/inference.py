@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import fdtr
 
-from .emd import _as_1d_float
+from .emd import _as_1d_float, _integer
 
 _TINY = 1e-300
 _F_STAT_CAP = 1e308
@@ -33,7 +33,7 @@ _F_STAT_CAP = 1e308
 
 @dataclass(frozen=True)
 class SegmentTest:
-    """One segment's variance test against its neighbors."""
+    """One segment's variance test against its neighbors (its gamma is the caller's)."""
 
     imf_index: int
     seg_start: int
@@ -44,7 +44,6 @@ class SegmentTest:
     n_before: int | None
     n_during: int
     n_after: int | None
-    gamma: float
     f_stat: float
     p_value: float
 
@@ -53,8 +52,6 @@ class SegmentTest:
             raise ValueError("p_value must lie in [0, 1]")
         if self.f_stat < 0:
             raise ValueError("f_stat must be nonnegative")
-        if not 1 <= self.gamma < math.inf:
-            raise ValueError("gamma must be at least 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -89,6 +86,16 @@ def f_cdf(x: float, df1: int, df2: int) -> float:
     return float(fdtr(df1, df2, x))
 
 
+def _variance_and_length(pair, name: str, min_len: int = 1) -> tuple[float, int]:
+    """A checked ``(variance, length)`` pair; NaN fails the variance check."""
+    s2, length = float(pair[0]), _integer(pair[1], f"the {name} length")
+    if not 0 <= s2 < math.inf:
+        raise ValueError(f"the {name} variance must be finite and nonnegative")
+    if length < min_len:
+        raise ValueError(f"the {name} length must be at least {min_len}")
+    return s2, length
+
+
 def f_test_segment(
     before: tuple[float, int] | None,
     during: tuple[float, int],
@@ -104,23 +111,20 @@ def f_test_segment(
     ``before``/``after`` are ``(variance, length)`` pairs or ``None`` when
     the segment sits at a series boundary; the reference variance is the
     largest present neighbor variance, falling back to the single present
-    neighbor.  A segment whose variance and reference are both zero is
-    degenerate and reported as not significant (p = 1).
+    neighbor.  Variances must be finite and nonnegative; lengths are
+    integers of at least 1 (2 for ``during``).  Zero variance in both the
+    segment and its reference is degenerate: p = 1, not significant.
     """
     if before is None and after is None:
         raise ValueError("segment test needs at least one neighbor")
     if not 1 <= gamma < math.inf:
         raise ValueError("gamma must be at least 1 and finite")
-    s2_during, n_during = float(during[0]), int(during[1])
-    if n_during < 2:
-        raise ValueError("during segment needs at least 2 samples")
-    s2_before, n_before = (float(before[0]), int(before[1])) if before is not None else (None, None)
-    s2_after, n_after = (float(after[0]), int(after[1])) if after is not None else (None, None)
+    s2_during, n_during = _variance_and_length(during, "during", 2)
+    s2_before, n_before = _variance_and_length(before, "before") if before is not None else (None, None)
+    s2_after, n_after = _variance_and_length(after, "after") if after is not None else (None, None)
 
-    neighbor_vars = [v for v in (s2_before, s2_after) if v is not None]
-    neighbor_lens = [v for v in (n_before, n_after) if v is not None]
-    reference = max(neighbor_vars)
-    df2 = max(neighbor_lens)
+    reference = max(v for v in (s2_before, s2_after) if v is not None)
+    df2 = max(v for v in (n_before, n_after) if v is not None)
 
     if s2_during < _TINY and reference < _TINY:
         f_stat, p_value = 0.0, 1.0
@@ -138,15 +142,19 @@ def f_test_segment(
         n_before=n_before,
         n_during=n_during,
         n_after=n_after,
-        gamma=gamma,
         f_stat=f_stat,
         p_value=p_value,
     )
 
 
-def _validate_alpha(alpha: float) -> None:
+def _checked_p_values(p_values, alpha: float) -> list[float]:
+    """The p-values as floats, each in [0, 1]; NaN fails both checks."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    ps = [float(p) for p in p_values]
+    if not all(0.0 <= p <= 1.0 for p in ps):
+        raise ValueError("p-values must lie in [0, 1]")
+    return ps
 
 
 def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
@@ -157,8 +165,7 @@ def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
     (stable sort), so callers should present tests in a deterministic
     order.
     """
-    _validate_alpha(alpha)
-    ps = [float(p) for p in p_values]
+    ps = _checked_p_values(p_values, alpha)
     k = len(ps)
     flags = [False] * k
     order = sorted(range(k), key=lambda i: ps[i])
@@ -172,8 +179,7 @@ def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
 
 def holm_thresholds(p_values, alpha: float = 0.05) -> list[float]:
     """Each hypothesis's step-down threshold ``alpha/(K - rank)``, input order."""
-    _validate_alpha(alpha)
-    ps = [float(p) for p in p_values]
+    ps = _checked_p_values(p_values, alpha)
     k = len(ps)
     order = sorted(range(k), key=lambda i: ps[i])
     thresholds = [0.0] * k

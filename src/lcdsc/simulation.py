@@ -173,8 +173,10 @@ def grid_spec(cell: tuple[int, float, float], seed: int = 0) -> LocalSignalSpec:
     Raises ``ValueError`` naming the key of a cell that cannot be run.
     """
     t_len, sigma, ratio = cell
-    if t_len < _MIN_SAMPLES:
+    if _integer(t_len, "T") < _MIN_SAMPLES:
         raise ValueError(f"T = {t_len}: the decomposition needs at least {_MIN_SAMPLES} samples")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma = {sigma:g} must be finite and nonnegative")
     share = t_len * ratio / (1.0 + ratio) if ratio > 0 else 0.0  # nan or inf if ratio is huge
     length = int(round(share)) if math.isfinite(share) else 0
     if not 0 < length < t_len:
@@ -205,9 +207,9 @@ def run_benchmark(
     time for every method that uses it (all but ``none``).  Every
     argument is checked before the first decomposition: at least one
     method, each named once; each grid cell runnable (``grid_spec``) and
-    listed once.  ``workers`` must be 1: the ensemble runs on the calling
-    thread, and the parameter stays only until the benchmark stops
-    passing it.
+    listed once; an integer ``base_seed``.  ``workers`` must be 1: the
+    ensemble runs on the calling thread, and the parameter stays only
+    until the benchmark stops passing it.
     """
     from .baselines import (
         ORACLE_FAMILIES,
@@ -232,6 +234,7 @@ def run_benchmark(
     repeated = sorted({cell for cell in grid if grid.count(cell) > 1})
     if repeated:
         raise ValueError(f"repeated grid cell(s): {', '.join(map(str, repeated))}")
+    _integer(base_seed, "base_seed")
     if _integer(replicates, "replicates") < 1:
         raise ValueError("replicates must be at least 1")
     if workers != 1:

@@ -49,8 +49,8 @@ def instantaneous_frequency(imf, dt: float = 1.0) -> np.ndarray:
     Central finite differences in the interior, one-sided at the ends,
     divided by ``2*pi*dt``.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:  # NaN fails it
+        raise ValueError("dt must be positive and finite")
     z = analytic_signal(imf)
     phase = np.unwrap(np.arctan2(z.imag, z.real))
     return np.gradient(phase, dt) / (2.0 * np.pi)

@@ -143,7 +143,7 @@ def _enumerate_best(x, penalty, msl, max_m=3):
             if any(length < msl for length in lengths):
                 continue
             total = sum(segment_cost(stats, s, e) for s, e in zip(starts, ends))
-            total += penalty_value(penalty, m, n, lengths)
+            total += penalty_value(penalty, lengths)
             key = (total, m, taus)
             if best is None or key < best:
                 best = key
@@ -156,7 +156,7 @@ def test_criterion_04_changepoint_oracle_equivalence():
     checked = 0
     for seed in range(50):
         x = _alternating_instance(seed)
-        for penalty in (Penalty.bic(), Penalty.mbic()):
+        for penalty in (Penalty("bic"), Penalty("mbic")):
             got = detect_changepoints(x, penalty, 3)
             assert len(got.taus) <= 3, f"seed {seed}: optimum exceeded the enumeration cap"
             want = _enumerate_best(x, penalty, 3)

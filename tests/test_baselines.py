@@ -134,6 +134,14 @@ class TestNoiseSigma:
             noise_sigma([])
 
 
+@pytest.mark.parametrize("estimator", [noise_sigma, wavelet_hard_threshold,
+                                       wavelet_interval_threshold])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_imf_is_rejected(estimator, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        estimator([bad, 1.0, -2.0, 3.0])
+
+
 class TestWaveletHardThreshold:
     def test_all_below_threshold_zeroed(self):
         x = np.random.default_rng(7).normal(0, 1, 400)

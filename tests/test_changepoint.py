@@ -45,7 +45,7 @@ def enumerate_best(x, penalty, msl, max_m=3):
             if any(length < msl for length in lengths):
                 continue
             total = sum(segment_cost(stats, s, e) for s, e in zip(starts, ends))
-            total += penalty_value(penalty, m, n, lengths)
+            total += penalty_value(penalty, lengths)
             key = (total, m, taus)
             if best is None or key < best:
                 best = key
@@ -107,39 +107,49 @@ class TestSegmentCost:
 
 class TestPenaltyValue:
     def test_no_change_baselines(self):
-        assert penalty_value(Penalty.aic(2.0), 0, 100, [100]) == 0.0
-        assert penalty_value(Penalty.bic(), 0, 100, [100]) == 0.0
-        assert penalty_value(Penalty.mbic(), 0, 100, [100]) == pytest.approx(math.log(100))
+        assert penalty_value(Penalty("aic", 2.0), [100]) == 0.0
+        assert penalty_value(Penalty("bic"), [100]) == 0.0
+        assert penalty_value(Penalty("mbic"), [100]) == pytest.approx(math.log(100))
 
     def test_bic_formula(self):
-        assert penalty_value(Penalty.bic(), 2, 100, [30, 30, 40]) == pytest.approx(
+        assert penalty_value(Penalty("bic"), [30, 30, 40]) == pytest.approx(
             9.210340371976184
         )
 
     def test_mbic_formula(self):
         # hand evaluation: 3*log(100) + log(40) + log(60)
         want = 3 * math.log(100) + math.log(40) + math.log(60)
-        got = penalty_value(Penalty.mbic(), 1, 100, [40, 60])
+        got = penalty_value(Penalty("mbic"), [40, 60])
         assert got == pytest.approx(want)
         assert got == pytest.approx(21.598734574300313)
 
     def test_aic_scales_with_beta(self):
-        assert penalty_value(Penalty.aic(2.5), 3, 50, [10, 10, 10, 20]) == pytest.approx(7.5)
+        assert penalty_value(Penalty("aic", 2.5), [10, 10, 10, 20]) == pytest.approx(7.5)
 
-    def test_inconsistent_lengths(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            penalty_value(Penalty.bic(), 1, 100, [40, 50])
-        with pytest.raises(ValueError, match="inconsistent"):
-            penalty_value(Penalty.bic(), 2, 100, [40, 60])
+    def test_lengths_must_be_positive(self):
+        for lengths in ([40, 0, 60], [-1, 101], []):
+            with pytest.raises(ValueError, match="at least 1"):
+                penalty_value(Penalty("bic"), lengths)
+
+    def test_lengths_must_be_integers(self):
+        with pytest.raises(ValueError, match="segment length must be an integer"):
+            penalty_value(Penalty("mbic"), [40.5, 59.5])
 
     def test_aic_requires_beta(self):
         with pytest.raises(ValueError, match="beta"):
             Penalty("aic")
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="beta"):
-                Penalty.aic(bad)
+                Penalty("aic", bad)
         with pytest.raises(ValueError, match="unknown penalty"):
             Penalty("bogus")
+
+    @pytest.mark.parametrize("kind", ["bic", "mbic"])
+    @pytest.mark.parametrize("beta", [5.0, -1.0, math.nan, math.inf])
+    def test_beta_applies_only_to_aic(self, kind, beta):
+        with pytest.raises(ValueError, match="beta applies only to the aic penalty"):
+            Penalty(kind, beta)
+        assert Penalty(kind, 0.0) == Penalty(kind)
 
 
 class TestDetect:
@@ -147,7 +157,7 @@ class TestDetect:
         empties = 0
         for seed in range(20):
             x = np.random.default_rng(seed).normal(0, 1, 400)
-            if not detect_changepoints(x, Penalty.mbic(), 10).taus:
+            if not detect_changepoints(x, Penalty("mbic"), 10).taus:
                 empties += 1
         assert empties >= 18
 
@@ -158,7 +168,7 @@ class TestDetect:
                 np.random.default_rng([21, 1]).normal(0, math.sqrt(10), 100),
             ]
         )
-        got = detect_changepoints(x, Penalty.mbic(), 10)
+        got = detect_changepoints(x, Penalty("mbic"), 10)
         assert len(got.taus) == 1
         assert 95 <= got.taus[0] <= 105
         # independent oracle: scan every admissible single split
@@ -168,7 +178,7 @@ class TestDetect:
             total = (
                 segment_cost(stats, 0, tau)
                 + segment_cost(stats, tau + 1, 199)
-                + penalty_value(Penalty.mbic(), 1, 200, [tau + 1, 199 - tau])
+                + penalty_value(Penalty("mbic"), [tau + 1, 199 - tau])
             )
             if best is None or total < best[0]:
                 best = (total, tau)
@@ -177,7 +187,7 @@ class TestDetect:
 
     def test_small_instance_matches_enumeration(self):
         x = alternating_instance(1)
-        for penalty in (Penalty.bic(), Penalty.mbic()):
+        for penalty in (Penalty("bic"), Penalty("mbic")):
             got = detect_changepoints(x, penalty, 3)
             want = enumerate_best(x, penalty, 3)
             assert got.taus == want[2]
@@ -186,7 +196,7 @@ class TestDetect:
     def test_oracle_equivalence_over_seeds(self):
         for seed in range(10):
             x = alternating_instance(seed)
-            for penalty in (Penalty.bic(), Penalty.mbic()):
+            for penalty in (Penalty("bic"), Penalty("mbic")):
                 got = detect_changepoints(x, penalty, 3)
                 assert len(got.taus) <= 3
                 want = enumerate_best(x, penalty, 3)
@@ -205,7 +215,7 @@ class TestDetect:
     def test_property_matches_enumeration(self, values, msl, kind, beta):
         # small integers force exact ties and constant runs at the variance floor
         x = np.array(values, dtype=float)
-        penalty = Penalty.aic(float(beta)) if kind == "aic" else Penalty(kind)
+        penalty = Penalty("aic", float(beta)) if kind == "aic" else Penalty(kind)
         got = detect_changepoints(x, penalty, msl)
         want = enumerate_best(x, penalty, msl)
         # The search adds costs in another order than the enumeration, so splits
@@ -230,25 +240,25 @@ class TestDetect:
     )
     def test_property_matches_unpruned_search(self, values, msl, kind, beta, scale):
         x = np.array(values, dtype=float)
-        penalty = Penalty.aic(beta) if kind == "aic" else Penalty(kind)
+        penalty = Penalty("aic", beta) if kind == "aic" else Penalty(kind)
         got = detect_changepoints(x, penalty, msl, scale)
         assert got.taus == unpruned_search(x, penalty, msl, scale)
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
-            detect_changepoints(np.ones(15), Penalty.bic(), 10)
+            detect_changepoints(np.ones(15), Penalty("bic"), 10)
         with pytest.raises(ValueError, match="min_seg_len"):
-            detect_changepoints(np.ones(15), Penalty.bic(), 1)
+            detect_changepoints(np.ones(15), Penalty("bic"), 1)
         for bad in (2.5, math.nan, 3.0):
             with pytest.raises(ValueError, match="min_seg_len must be an integer"):
-                detect_changepoints(np.ones(30), Penalty.bic(), bad)
+                detect_changepoints(np.ones(30), Penalty("bic"), bad)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="penalty_scale"):
-                detect_changepoints(np.ones(30), Penalty.bic(), 10, penalty_scale=bad)
+                detect_changepoints(np.ones(30), Penalty("bic"), 10, penalty_scale=bad)
 
     def test_segments_layout(self):
         x = alternating_instance(1)
-        cps = detect_changepoints(x, Penalty.mbic(), 3)
+        cps = detect_changepoints(x, Penalty("mbic"), 3)
         segs = cps.segments(len(x))
         assert segs[0][0] == 0
         assert segs[-1][1] == len(x) - 1
@@ -260,8 +270,8 @@ class TestDetect:
 class TestInvariants:
     def test_shift_invariance(self):
         x = alternating_instance(4)
-        base = detect_changepoints(x, Penalty.mbic(), 3)
-        shifted = detect_changepoints(x + 42.0, Penalty.mbic(), 3)
+        base = detect_changepoints(x, Penalty("mbic"), 3)
+        shifted = detect_changepoints(x + 42.0, Penalty("mbic"), 3)
         assert base.taus == shifted.taus
 
     def test_scale_shifts_cost_but_not_taus(self):
@@ -270,16 +280,16 @@ class TestInvariants:
         stats_scaled = SegStats.from_series(2.0 * x)
         shift = segment_cost(stats_scaled, 0, 9) - segment_cost(stats, 0, 9)
         assert shift == pytest.approx(10 * 2 * math.log(2.0))
-        base = detect_changepoints(x, Penalty.mbic(), 3)
-        scaled = detect_changepoints(2.0 * x, Penalty.mbic(), 3)
+        base = detect_changepoints(x, Penalty("mbic"), 3)
+        scaled = detect_changepoints(2.0 * x, Penalty("mbic"), 3)
         assert base.taus == scaled.taus
 
     def test_larger_penalty_never_adds_changes(self):
         for seed in range(8):
             x = alternating_instance(seed)
             n = len(x)
-            small = detect_changepoints(x, Penalty.bic(), 3)
-            big = detect_changepoints(x, Penalty.aic(2.5 * math.log(n)), 3)
+            small = detect_changepoints(x, Penalty("bic"), 3)
+            big = detect_changepoints(x, Penalty("aic", 2.5 * math.log(n)), 3)
             assert len(big.taus) <= len(small.taus)
 
     def test_penalty_scale_monotone(self):
@@ -289,15 +299,15 @@ class TestInvariants:
                 np.random.default_rng([31, 1]).normal(0, 3, 60),
             ]
         )
-        base = detect_changepoints(x, Penalty.bic(), 5)
-        assert detect_changepoints(x, Penalty.bic(), 5, penalty_scale=1.0).taus == base.taus
-        scaled = detect_changepoints(x, Penalty.bic(), 5, penalty_scale=4.0)
+        base = detect_changepoints(x, Penalty("bic"), 5)
+        assert detect_changepoints(x, Penalty("bic"), 5, penalty_scale=1.0).taus == base.taus
+        scaled = detect_changepoints(x, Penalty("bic"), 5, penalty_scale=4.0)
         assert len(scaled.taus) <= len(base.taus)
 
     def test_pruning_disabled_on_floor_risk(self):
         # constant run forces the variance floor; result must still be exact
         x = np.concatenate([np.full(12, 1.0), alternating_instance(2)])
-        for penalty in (Penalty.bic(), Penalty.mbic()):
+        for penalty in (Penalty("bic"), Penalty("mbic")):
             got = detect_changepoints(x, penalty, 3)
             want = enumerate_best(x, penalty, 3)
             if len(got.taus) <= 3:

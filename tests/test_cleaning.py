@@ -10,7 +10,6 @@ from lcdsc import (
     EmdConfig,
     LcdscConfig,
     LocalSignalSpec,
-    Penalty,
     SegmentDecision,
     TimeSeries,
     clean_imf,
@@ -35,13 +34,13 @@ def decision_for(imf_index, start, end, significant, p=0.001):
 class TestCleanImf:
     def test_no_change_points_zeroes_everything(self):
         x = np.random.default_rng(0).normal(0, 1, 60)
-        cps = ChangePointSet((), 0.0, Penalty.mbic(), 5)
+        cps = ChangePointSet((), 0.0)
         out = clean_imf(x, cps, [])
         assert np.all(out == 0)
 
     def test_one_significant_segment_kept_verbatim(self):
         x = np.random.default_rng(1).normal(0, 1, 60)
-        cps = ChangePointSet((19, 39), 0.0, Penalty.mbic(), 5)
+        cps = ChangePointSet((19, 39), 0.0)
         decisions = [
             decision_for(1, 0, 19, False),
             decision_for(1, 20, 39, True),
@@ -54,13 +53,13 @@ class TestCleanImf:
 
     def test_all_segments_significant_is_identity(self):
         x = np.random.default_rng(2).normal(0, 1, 60)
-        cps = ChangePointSet((29,), 0.0, Penalty.mbic(), 5)
+        cps = ChangePointSet((29,), 0.0)
         decisions = [decision_for(1, 0, 29, True), decision_for(1, 30, 59, True)]
         assert np.array_equal(clean_imf(x, cps, decisions), x)
 
     def test_rejects_wrong_coverage(self):
         x = np.ones(60)
-        cps = ChangePointSet((29,), 0.0, Penalty.mbic(), 5)
+        cps = ChangePointSet((29,), 0.0)
         with pytest.raises(ValueError, match="cover"):
             clean_imf(x, cps, [decision_for(1, 0, 29, True)])
 

@@ -152,6 +152,24 @@ class TestFTestSegment:
         with pytest.raises(ValueError):
             f_test_segment((1.0, 10), (1.0, 1), None, 1.0)
 
+    @pytest.mark.parametrize("before, during, after, match", [
+        (None, (1.0, 2.5), (2.0, 3), "during length must be an integer"),
+        ((1.0, 10.0), (1.0, 10), None, "before length must be an integer"),
+        (None, (1.0, 10), (1.0, 0), "after length must be at least 1"),
+        ((1.0, 10), (-1.0, 10), (1.0, 10), "during variance must be finite and nonnegative"),
+        ((1.0, 10), (float("nan"), 10), None, "during variance must be finite and nonnegative"),
+        ((float("inf"), 10), (1.0, 10), None, "before variance must be finite and nonnegative"),
+        (None, (1.0, 10), (-0.5, 10), "after variance must be finite and nonnegative"),
+    ], ids=["fractional-length", "float-length", "empty-neighbor", "negative-variance",
+            "nan-variance", "infinite-variance", "negative-neighbor-variance"])
+    def test_bad_pairs_are_rejected(self, before, during, after, match):
+        with pytest.raises(ValueError, match=match):
+            f_test_segment(before, during, after, 1.0)
+
+    def test_numpy_lengths_pass(self):
+        t = f_test_segment((1.0, np.int64(30)), (2.0, np.int32(20)), None, 1.0)
+        assert (t.n_before, t.n_during) == (30, 20)
+
 
 class TestHolm:
     def test_both_rejected(self):
@@ -198,6 +216,12 @@ class TestHolm:
             holm_bonferroni([0.1], 0.0)
         with pytest.raises(ValueError):
             holm_bonferroni([0.1], 1.0)
+
+    @pytest.mark.parametrize("holm", [holm_bonferroni, holm_thresholds])
+    @pytest.mark.parametrize("bad", [1.5, -0.01, float("nan"), float("inf")])
+    def test_p_values_must_lie_in_the_unit_interval(self, holm, bad):
+        with pytest.raises(ValueError, match=r"p-values must lie in \[0, 1\]"):
+            holm([bad, 0.01], 0.05)
 
     def test_family_wise_error_under_global_null(self):
         # K independent true-null segments per run; the fraction of runs

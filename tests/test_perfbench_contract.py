@@ -11,6 +11,9 @@ with ``workers=1``.  ``perfbench/run.py`` fails a traced op unless its
 ``emd`` once per trial and ``emd`` calls ``sift`` once per IMF, both
 through the ``lcdsc.emd`` module globals.  ``cli-long-k12`` runs
 ``lcdsc simulate`` and ``lcdsc clean``, which accept only full flag names.
+The ``check`` of ``clean-short-k100`` and ``bench-grid-k12`` reads
+attributes off ``CleaningReport`` and ``BenchResult`` records, so both
+checks run here on small results.
 """
 
 import argparse
@@ -18,27 +21,31 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lcdsc import EmdConfig, LcdscConfig, lcdsc_clean, run_benchmark
+from lcdsc import EmdConfig, LcdscConfig, LocalSignalSpec, lcdsc_clean, local_doppler, run_benchmark
 from lcdsc.cli import build_parser
+from lcdsc.simulation import METHOD_NAMES
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-TRACING = PERFBENCH / "tracing.py"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _perfbench_module(name):
+    """The module ``perfbench/<name>.py``, loaded without putting perfbench on the path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def _trace_points():
-    return [(module_name, attr) for module_name, attr, _, _ in _tracing().TRACE_POINTS]
+    tracing = _perfbench_module("tracing")
+    return [(module_name, attr) for module_name, attr, _, _ in tracing.TRACE_POINTS]
 
 
 @pytest.mark.parametrize("module_name, attr", _trace_points())
@@ -47,7 +54,7 @@ def test_trace_point_resolves_to_a_callable(module_name, attr):
 
 
 def test_traced_trials_and_sifts_are_counted():
-    tracing = _tracing()
+    tracing = _perfbench_module("tracing")
     t = np.arange(300)
     noisy = np.sin(2 * np.pi * t / 25) + np.random.default_rng(0).normal(0, 0.3, t.size)
     tracer = tracing.Tracer()
@@ -121,6 +128,30 @@ def test_perfbench_name_exists(path, statement):
     else:
         module_name, name = statement.rsplit(".", 1)
         assert hasattr(importlib.import_module(module_name), name), f"{path}: {statement}"
+
+
+def test_clean_short_check_reads_a_report(tmp_path):
+    workloads = _perfbench_module("workloads")
+    seed = 3
+    noisy, truth, _ = local_doppler(LocalSignalSpec(400, 150, 250, 0.2, seed))
+    workload = workloads.CleanShort()
+    workload.inputs = [(seed, noisy, truth)]
+    report = lcdsc_clean(noisy, LcdscConfig(emd=EmdConfig(ensemble_size=2, seed=seed)))
+    assert report.decisions  # without one, the check reads no test attribute
+    outcome = workload.check(0, report, str(tmp_path))
+    assert isinstance(outcome, workloads.Outcome)
+    assert outcome.summary and outcome.problems == []
+
+
+def test_bench_grid_check_reads_results(tmp_path):
+    workloads = _perfbench_module("workloads")
+    workload = workloads.BenchGrid()
+    workload.seeds = [5]
+    config = LcdscConfig(emd=EmdConfig(ensemble_size=2))
+    results = run_benchmark(METHOD_NAMES, [(400, 0.3, 0.25)], 1, 5, config)
+    outcome = workload.check(0, results, str(tmp_path))
+    assert isinstance(outcome, workloads.Outcome)
+    assert outcome.summary and outcome.problems == []
 
 
 def test_workload_calls_bind():

@@ -213,11 +213,20 @@ class TestRunBenchmark:
     @pytest.mark.parametrize("methods, grid, match", [
         ([], [(400, 0.3, 0.25)], "at least one method"),
         (["none"], [(400, 0.3, 0.25)] * 2, r"repeated grid cell\(s\): \(400, 0.3, 0.25\)"),
-        (["none"], [(100.5, 0.2, 0.25)], "total_len must be an integer"),
-    ], ids=["no-method", "repeated-cell", "fractional-T"])
+        (["none"], [(100.5, 0.2, 0.25)], "T must be an integer"),
+        (["none"], [(100, -1.0, 0.25)], "sigma = -1 must be finite and nonnegative"),
+        (["none"], [(100, float("nan"), 0.25)], "sigma = nan must be finite and nonnegative"),
+    ], ids=["no-method", "repeated-cell", "fractional-T", "negative-sigma", "nan-sigma"])
     def test_bad_arguments_rejected(self, methods, grid, match):
         with pytest.raises(ValueError, match=match):
             run_benchmark(methods, grid, 1, 0)
+
+    def test_base_seed_must_be_an_integer(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulation, "eemd", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="base_seed must be an integer"):
+            run_benchmark(["lcdsc"], [(100, 0.2, 0.25)], 1, 1.5)
+        assert calls == []
 
     def test_replicates_must_be_an_integer(self):
         with pytest.raises(ValueError, match="replicates must be an integer"):

@@ -84,5 +84,6 @@ class TestInstantaneousFrequency:
         assert np.all(np.diff(coarse) > 0)
 
     def test_requires_positive_dt(self):
-        with pytest.raises(ValueError, match="dt"):
-            instantaneous_frequency(np.ones(16), dt=0.0)
+        for dt in (0.0, float("inf"), float("nan"), -1.0):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                instantaneous_frequency(np.ones(16), dt=dt)
