@@ -70,14 +70,23 @@ class ChangePointSet:
     """Detected change points with the objective value that selected them.
 
     A change at ``tau`` splits the series into ``[.., tau]`` and
-    ``[tau+1, ..]``; ``taus`` is strictly increasing.
+    ``[tau+1, ..]``; ``taus`` are strictly increasing nonnegative integers.
     """
 
     taus: tuple[int, ...]
     total_cost: float
 
+    def __post_init__(self):
+        taus = tuple(_integer(tau, "a change point") for tau in self.taus)
+        if taus and (taus[0] < 0 or any(a >= b for a, b in zip(taus, taus[1:]))):
+            raise ValueError("change points must be strictly increasing and nonnegative")
+        object.__setattr__(self, "taus", taus)
+
     def segments(self, n: int) -> list[tuple[int, int]]:
-        """Inclusive ``(start, end)`` bounds of every implied segment."""
+        """Inclusive ``(start, end)`` bounds of every implied segment of
+        ``n`` samples; every change point must come before sample ``n - 1``."""
+        if _integer(n, "n") < 1 or (self.taus and self.taus[-1] >= n - 1):
+            raise ValueError(f"change points {self.taus} do not split {n} samples")
         starts = [0] + [tau + 1 for tau in self.taus]
         ends = list(self.taus) + [n - 1]
         return list(zip(starts, ends))
@@ -85,6 +94,7 @@ class ChangePointSet:
 
 def segment_cost(stats: SegStats, i: int, j: int) -> float:
     """Gaussian variance cost of the inclusive segment ``[i, j]``."""
+    i, j = _integer(i, "the segment start"), _integer(j, "the segment end")
     n_seg = j - i + 1
     if n_seg < 2:
         raise ValueError("segment too short: cost needs at least 2 samples")

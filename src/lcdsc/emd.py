@@ -13,7 +13,10 @@ swings.  Each sift iteration fits the upper and lower envelope together:
 one tridiagonal solve for both knot sets and one evaluation pass, with
 results identical to fitting them one at a time.  Sifting stops once the
 extrema/zero-crossing counts differ by at most one for ``s_number``
-consecutive iterations (S-stoppage).
+consecutive iterations (S-stoppage).  Sifted float data seldom has two
+equal neighbouring samples or an exact zero, so the common path finds
+extrema and zero crossings without the flat-run and zero bookkeeping,
+which runs only for inputs with such ties and gives the same indices.
 
 The ensemble keeps one running sum per IMF index instead of every
 trial's IMFs, so its memory is O(width * n) for ``width`` IMFs of length
@@ -31,6 +34,9 @@ from scipy.linalg.lapack import dgtsv
 
 _SEED_MASK = 2**64 - 1
 _MIN_SAMPLES = 4  # shortest series the decomposition accepts
+# from here a 2n-float row is 128 KiB, glibc's default mmap threshold: a
+# fresh one is mapped and page-faulted anew, so sift reuses scratch rows
+_SCRATCH_MIN_SAMPLES = 8192
 
 
 class MonotonicComponent(ValueError):
@@ -169,22 +175,46 @@ def find_extrema(series) -> tuple[np.ndarray, np.ndarray]:
     if x.size < 3:
         raise ValueError("series too short: extrema detection needs at least 3 samples")
     d = x[1:] - x[:-1]
-    # compare directions across flat runs and report each run's midpoint
-    nz = d.nonzero()[0]
-    up = (d > 0)[nz]
-    flips = (up[:-1] != up[1:]).nonzero()[0]
-    mids = (nz[flips] + 1 + nz[flips + 1]) // 2
+    if d.all():
+        # no flat runs: each direction flip is an extremum at the sample after it
+        up = d > 0
+        flips = (up[:-1] != up[1:]).nonzero()[0]
+        mids = flips + 1
+    else:
+        # compare directions across flat runs and report each run's midpoint
+        nz = d.nonzero()[0]
+        up = (d > 0)[nz]
+        flips = (up[:-1] != up[1:]).nonzero()[0]
+        mids = (nz[flips] + 1 + nz[flips + 1]) // 2
     # direction flips alternate, so maxima and minima interleave
     first = 0 if mids.size and up[flips[0]] else 1
     return mids[first::2], mids[1 - first :: 2]
 
 
 def _zero_crossings(x: np.ndarray) -> int:
-    positive = (x > 0)[x != 0]
+    positive = x > 0
+    if not x.all():
+        positive = positive[x != 0]  # exact zeros neither start nor end a crossing
     return int(np.count_nonzero(positive[:-1] != positive[1:]))
 
 
-def _envelope_from_extrema(x: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.ndarray:
+def _envelope_work(n: int) -> tuple:
+    """What ``_envelope_from_extrema`` reuses across calls for ``n`` samples.
+
+    The grid ``0..2n-1`` as floats, then three scratch rows of that length,
+    or ``None`` in their place below ``_SCRATCH_MIN_SAMPLES``: short rows
+    come warm from the allocator and beat reused ones, long ones would be
+    freshly mapped and page-faulted on every call.
+    """
+    grid = np.arange(2 * n, dtype=float)
+    if n < _SCRATCH_MIN_SAMPLES:
+        return grid, None, None, None
+    return grid, *np.empty((3, 2 * n))
+
+
+def _envelope_from_extrema(
+    x: np.ndarray, maxima: np.ndarray, minima: np.ndarray, work: tuple | None = None
+) -> np.ndarray:
     """Mean of the natural-spline envelopes through ``maxima`` and ``minima``.
 
     Each envelope's knots are its extrema plus the two nearest mirrored
@@ -193,6 +223,10 @@ def _envelope_from_extrema(x: np.ndarray, maxima: np.ndarray, minima: np.ndarray
     both.  The natural end rows leave exact zeros where the blocks meet,
     so elimination never mixes them and every value matches fitting the
     envelopes one at a time, bit for bit.
+
+    ``work`` is ``_envelope_work(n)``, for callers that evaluate many
+    envelopes of one length.  The mean returned may be a view into its
+    scratch rows, valid until their next use.
     """
     n = x.size
     end = n - 1
@@ -250,16 +284,34 @@ def _envelope_from_extrema(x: np.ndarray, maxima: np.ndarray, minima: np.ndarray
     np.subtract(maxima[1:], maxima[:-1], out=counts[2 : b - 2])
     np.subtract(minima[1:], minima[:-1], out=counts[b + 3 : -2])
     counts[[1, b - 2, b + 2, -2]] = (u0, n - u3, l0, n - l3)
-    t = np.arange(2 * n, dtype=float)
-    t -= pos[:-1].repeat(counts)
-    env = a3.repeat(counts)
+    if work is None:
+        work = _envelope_work(n)
+    grid, t_row, env_row, coef_row = work  # the rows may be None: see _envelope_work
+    if 8 * size > 2 * n:
+        # short segments: gathering through one segment index per grid point
+        # costs less than repeating every coefficient array
+        seg = np.arange(size - 1).repeat(counts)
+
+        def spread(a, out):
+            # seg holds valid indices only; "clip" just lets take fill out unbuffered
+            return np.take(a, seg, out=out, mode="clip")
+    else:
+
+        def spread(a, out):
+            # long segments: repeating is cheaper, though it cannot fill out
+            return a[: size - 1].repeat(counts)
+
+    t = spread(pos, t_row)
+    np.subtract(grid, t, out=t)
+    env = spread(a3, env_row)
     env *= t
-    env += a2.repeat(counts)
+    env += spread(a2, coef_row)
     env *= t
-    env += a1.repeat(counts)
+    env += spread(a1, coef_row)
     env *= t
-    env += vals[:-1].repeat(counts)
-    mean = env[:n] + env[n:]
+    env += spread(vals, coef_row)
+    mean = env[:n]
+    mean += env[n:]
     mean *= 0.5
     return mean
 
@@ -280,10 +332,11 @@ def sift(series, config: EmdConfig | None = None) -> Imf:
         raise MonotonicComponent(
             "monotonic component: envelope needs at least 2 maxima and 2 minima"
         )
+    work = _envelope_work(h.size)
     streak = 0
     truncated = True
     for _ in range(config.max_sift_iters):
-        h -= _envelope_from_extrema(h, maxima, minima)
+        h -= _envelope_from_extrema(h, maxima, minima, work)
         maxima, minima = find_extrema(h)
         n_ext = maxima.size + minima.size
         if abs(n_ext - _zero_crossings(h)) <= 1:

@@ -70,6 +70,7 @@ class SegmentDecision:
 def sample_variance(series, i: int, j: int) -> float:
     """Biased (divide-by-n) variance of the inclusive segment ``[i, j]``."""
     x = _as_1d_float(series)
+    i, j = _integer(i, "the segment start"), _integer(j, "the segment end")
     if j < i:
         raise ValueError("empty segment")
     if i < 0 or j >= x.size:
@@ -78,10 +79,15 @@ def sample_variance(series, i: int, j: int) -> float:
 
 
 def f_cdf(x: float, df1: int, df2: int) -> float:
-    """P(F_{df1, df2} <= x), computed by ``scipy.special.fdtr``."""
-    if not (df1 >= 1 and df2 >= 1):
+    """P(F_{df1, df2} <= x), computed by ``scipy.special.fdtr``.
+
+    The degrees of freedom are segment lengths: integers of at least 1.
+    """
+    if _integer(df1, "df1") < 1 or _integer(df2, "df2") < 1:
         raise ValueError("degrees of freedom must be at least 1")
-    if math.isnan(x) or x < 0:
+    if math.isnan(x):
+        raise ValueError("x is NaN")
+    if x < 0:
         raise ValueError("x must be nonnegative")
     return float(fdtr(df1, df2, x))
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdsc import Penalty, SegStats, detect_changepoints, penalty_value, segment_cost
+from lcdsc import ChangePointSet, Penalty, SegStats, detect_changepoints, penalty_value, segment_cost
 
 
 def alternating_instance(seed):
@@ -103,6 +103,44 @@ class TestSegmentCost:
         stats = SegStats.from_series(np.arange(10.0))
         with pytest.raises(ValueError, match="too short"):
             segment_cost(stats, 3, 3)
+
+    def test_fractional_bounds(self):
+        stats = SegStats.from_series(np.arange(10.0))
+        with pytest.raises(ValueError, match="segment start must be an integer"):
+            segment_cost(stats, 0.5, 5)
+        with pytest.raises(ValueError, match="segment end must be an integer"):
+            segment_cost(stats, 0, 5.0)
+        assert segment_cost(stats, np.int64(0), np.int64(5)) == segment_cost(stats, 0, 5)
+
+
+class TestChangePointSet:
+    def test_segments_tile_the_series(self):
+        assert ChangePointSet((4, 7), 0.0).segments(10) == [(0, 4), (5, 7), (8, 9)]
+        assert ChangePointSet((), 0.0).segments(1) == [(0, 0)]
+
+    def test_numpy_integer_taus_become_ints(self):
+        cps = ChangePointSet([np.int64(2), np.intp(5)], 0.0)
+        assert cps.taus == (2, 5) and all(type(tau) is int for tau in cps.taus)
+
+    @pytest.mark.parametrize("taus", [(5, 3), (3, 3), (-1, 4)])
+    def test_unordered_or_negative_taus(self, taus):
+        with pytest.raises(ValueError, match="strictly increasing and nonnegative"):
+            ChangePointSet(taus, 0.0)
+
+    @pytest.mark.parametrize("tau", [1.5, 2.0, math.nan])
+    def test_non_integer_tau(self, tau):
+        with pytest.raises(ValueError, match="change point must be an integer"):
+            ChangePointSet((tau,), 0.0)
+
+    @pytest.mark.parametrize("n", [0, 5, 9])
+    def test_segments_need_every_tau_before_the_last_sample(self, n):
+        cps = ChangePointSet((3, 8), 0.0) if n else ChangePointSet((), 0.0)
+        with pytest.raises(ValueError, match="do not split"):
+            cps.segments(n)
+
+    def test_fractional_length(self):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ChangePointSet((3,), 0.0).segments(10.0)
 
 
 class TestPenaltyValue:

@@ -1,9 +1,10 @@
+import importlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgtsv
 
@@ -19,13 +20,43 @@ from lcdsc import (
     reconstruct,
     sift,
 )
-from lcdsc.emd import _envelope_from_extrema, _zero_crossings
+from lcdsc.emd import _envelope_from_extrema, _envelope_work, _zero_crossings
+
+emd_module = importlib.import_module("lcdsc.emd")  # the package re-exports a function of that name
 
 
 def bitwise_equal(a: Decomposition, b: Decomposition) -> bool:
     if a.n_imfs != b.n_imfs or not np.array_equal(a.residual, b.residual):
         return False
     return all(np.array_equal(x.samples, y.samples) for x, y in zip(a.imfs, b.imfs))
+
+
+def direct_extrema(x):
+    """Independent oracle: walk runs of equal values, compare run ends."""
+    n = len(x)
+    maxima, minima = [], []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and x[j + 1] == x[i]:
+            j += 1
+        if i > 0 and j < n - 1:
+            if x[i - 1] < x[i] and x[j + 1] < x[i]:
+                maxima.append((i + j) // 2)
+            elif x[i - 1] > x[i] and x[j + 1] > x[i]:
+                minima.append((i + j) // 2)
+        i = j + 1
+    return maxima, minima
+
+
+def direct_zero_crossings(x):
+    """Independent oracle: sign changes between consecutive nonzero samples."""
+    signs = [v > 0 for v in x if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+NO_TIES = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=300, unique=True)
+FLAT_RUNS = st.lists(st.integers(-3, 3), min_size=3, max_size=300)
 
 
 class TestFindExtrema:
@@ -43,19 +74,7 @@ class TestFindExtrema:
         t = np.arange(200)
         x = np.sin(2 * np.pi * t / 50)
         maxima, minima = find_extrema(x)
-        # independent oracle: walk runs of equal values, compare run ends
-        want_max, want_min = [], []
-        i = 0
-        while i < 200:
-            j = i
-            while j + 1 < 200 and x[j + 1] == x[i]:
-                j += 1
-            if i > 0 and j < 199:
-                if x[i - 1] < x[i] and x[j + 1] < x[i]:
-                    want_max.append((i + j) // 2)
-                elif x[i - 1] > x[i] and x[j + 1] > x[i]:
-                    want_min.append((i + j) // 2)
-            i = j + 1
+        want_max, want_min = direct_extrema(x)
         assert maxima.tolist() == want_max
         assert minima.tolist() == want_min
         assert len(want_max) == 4 and len(want_min) == 4
@@ -73,6 +92,37 @@ class TestFindExtrema:
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             find_extrema([1, 2])
+
+    @settings(deadline=None)
+    @given(NO_TIES)
+    def test_property_matches_enumeration_without_ties(self, values):
+        x = np.array(values)
+        assert np.diff(x).all()  # the path for series without flat runs
+        maxima, minima = find_extrema(x)
+        assert (maxima.tolist(), minima.tolist()) == direct_extrema(x)
+
+    @settings(deadline=None)
+    @given(FLAT_RUNS)
+    def test_property_matches_enumeration_with_flat_runs(self, values):
+        x = np.array(values, dtype=float)
+        assume(not np.diff(x).all())  # the path that walks flat runs
+        maxima, minima = find_extrema(x)
+        assert (maxima.tolist(), minima.tolist()) == direct_extrema(x)
+
+
+class TestZeroCrossings:
+    @settings(deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6).filter(bool), min_size=1, max_size=300))
+    def test_property_matches_count_without_zeros(self, values):
+        x = np.array(values)
+        assert _zero_crossings(x) == direct_zero_crossings(values)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(-2, 2), min_size=1, max_size=300))
+    def test_property_matches_count_with_zeros(self, values):
+        assume(0 in values)
+        x = np.array(values, dtype=float)
+        assert _zero_crossings(x) == direct_zero_crossings(values)
 
 
 def natural_spline_on_grid(xk, yk, n_query):
@@ -159,6 +209,27 @@ class TestFusedEnvelope:
                 self.check(x, maxima, minima)
 
 
+class TestEnvelopeWork:
+    def test_reused_work_matches_fresh_arrays(self):
+        n = 9000  # long enough for scratch rows
+        t = np.arange(n)
+        work = _envelope_work(n)
+        assert all(row is not None for row in work)
+        grid = work[0].copy()
+        dense = []
+        # noise and short periods gather through a segment index, long
+        # periods repeat the coefficients: both paths must agree bit for bit
+        for x in (np.random.default_rng(27).normal(0, 1, n),
+                  *(np.sin(2 * np.pi * t / period + 0.3) for period in (7, 40, 400))):
+            maxima, minima = find_extrema(x)
+            dense.append(8 * (maxima.size + minima.size + 8) > 2 * n)
+            got = _envelope_from_extrema(x, maxima, minima, work).copy()
+            assert got.tobytes() == _envelope_from_extrema(x, maxima, minima).tobytes()
+            assert got.tobytes() == two_spline_envelope_mean(x, maxima, minima).tobytes()
+        assert dense == [True, True, False, False]
+        assert work[0].tobytes() == grid.tobytes()  # the grid row is only read
+
+
 def envelope_mean(x):
     return _envelope_from_extrema(x, *find_extrema(x))
 
@@ -209,6 +280,42 @@ class TestSift:
         imf = sift(x, EmdConfig(s_number=3))
         assert not imf.truncated
         assert np.max(np.abs(imf.samples - x)) < 0.05
+
+
+class TestSiftCallCounts:
+    """One sift looks up ``find_extrema`` in the module once before its loop
+    and once per iteration; the benchmark's trace counts those calls."""
+
+    def run_counted(self, monkeypatch, x, config):
+        calls = {"find_extrema": 0, "_envelope_from_extrema": 0}
+        for name in calls:
+            original = getattr(emd_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(emd_module, name, counted)
+        imf = sift(x, config)
+        # every iteration subtracts exactly one envelope mean
+        return imf, calls["find_extrema"], calls["_envelope_from_extrema"]
+
+    def test_s_stoppage(self, monkeypatch):
+        x = np.sin(2 * np.pi * np.arange(600) / 30)
+        config = EmdConfig()
+        imf, extrema_calls, iterations = self.run_counted(monkeypatch, x, config)
+        maxima, minima = find_extrema(imf.samples)
+        assert not imf.truncated and maxima.size >= 2 and minima.size >= 2
+        assert config.s_number <= iterations < config.max_sift_iters
+        assert extrema_calls == 1 + iterations
+
+    def test_iteration_cap(self, monkeypatch):
+        x = np.random.default_rng(26).normal(0, 1, 500)
+        config = EmdConfig(s_number=4, max_sift_iters=3)  # a streak of 4 cannot happen
+        imf, extrema_calls, iterations = self.run_counted(monkeypatch, x, config)
+        assert imf.truncated
+        assert iterations == config.max_sift_iters
+        assert extrema_calls == 1 + config.max_sift_iters
 
 
 class TestEmd:

@@ -58,6 +58,14 @@ class TestSampleVariance:
         with pytest.raises(ValueError, match="empty"):
             sample_variance([1.0, 2.0], 1, 0)
 
+    def test_fractional_bounds(self):
+        x = np.arange(5.0)
+        with pytest.raises(ValueError, match="segment start must be an integer"):
+            sample_variance(x, 1.5, 3)
+        with pytest.raises(ValueError, match="segment end must be an integer"):
+            sample_variance(x, 1, 3.0)
+        assert sample_variance(x, np.int64(1), np.int64(3)) == sample_variance(x, 1, 3)
+
 
 class TestFCdf:
     def test_symmetry_point(self):
@@ -89,6 +97,19 @@ class TestFCdf:
             f_cdf(1.0, 0, 5)
         with pytest.raises(ValueError):
             f_cdf(-0.5, 5, 5)
+
+    def test_degrees_of_freedom_are_integers(self):
+        with pytest.raises(ValueError, match="df1 must be an integer"):
+            f_cdf(0.5, 2.5, 3)
+        with pytest.raises(ValueError, match="df2 must be an integer"):
+            f_cdf(0.5, 2, math.nan)
+        with pytest.raises(ValueError, match="at least 1"):
+            f_cdf(0.5, 2, 0)
+        assert f_cdf(0.5, np.int64(2), np.int64(3)) == f_cdf(0.5, 2, 3)
+
+    def test_nan_x_is_named(self):
+        with pytest.raises(ValueError, match="x is NaN"):
+            f_cdf(math.nan, 2, 3)
 
     @settings(deadline=None)
     @given(st.floats(0.0, 1e12), st.floats(0.0, 1e12), DF, DF)
