@@ -34,9 +34,6 @@ from scipy.linalg.lapack import dgtsv
 
 _SEED_MASK = 2**64 - 1
 _MIN_SAMPLES = 4  # shortest series the decomposition accepts
-# from here a 2n-float row is 128 KiB, glibc's default mmap threshold: a
-# fresh one is mapped and page-faulted anew, so sift reuses scratch rows
-_SCRATCH_MIN_SAMPLES = 8192
 
 
 class MonotonicComponent(ValueError):
@@ -201,15 +198,10 @@ def _zero_crossings(x: np.ndarray) -> int:
 def _envelope_work(n: int) -> tuple:
     """What ``_envelope_from_extrema`` reuses across calls for ``n`` samples.
 
-    The grid ``0..2n-1`` as floats, then three scratch rows of that length,
-    or ``None`` in their place below ``_SCRATCH_MIN_SAMPLES``: short rows
-    come warm from the allocator and beat reused ones, long ones would be
-    freshly mapped and page-faulted on every call.
+    The grid ``0..2n-1`` as floats, then three scratch rows of that length
+    that the gathering evaluation of dense knot sets fills.
     """
-    grid = np.arange(2 * n, dtype=float)
-    if n < _SCRATCH_MIN_SAMPLES:
-        return grid, None, None, None
-    return grid, *np.empty((3, 2 * n))
+    return np.arange(2 * n, dtype=float), *np.empty((3, 2 * n))
 
 
 def _envelope_from_extrema(
@@ -286,7 +278,7 @@ def _envelope_from_extrema(
     counts[[1, b - 2, b + 2, -2]] = (u0, n - u3, l0, n - l3)
     if work is None:
         work = _envelope_work(n)
-    grid, t_row, env_row, coef_row = work  # the rows may be None: see _envelope_work
+    grid, t_row, env_row, coef_row = work
     if 8 * size > 2 * n:
         # short segments: gathering through one segment index per grid point
         # costs less than repeating every coefficient array
@@ -298,7 +290,8 @@ def _envelope_from_extrema(
     else:
 
         def spread(a, out):
-            # long segments: repeating is cheaper, though it cannot fill out
+            # long segments: repeat fills runs faster than take gathers, though
+            # it cannot write into the scratch rows
             return a[: size - 1].repeat(counts)
 
     t = spread(pos, t_row)

@@ -211,23 +211,22 @@ class TestFusedEnvelope:
 
 class TestEnvelopeWork:
     def test_reused_work_matches_fresh_arrays(self):
-        n = 9000  # long enough for scratch rows
-        t = np.arange(n)
-        work = _envelope_work(n)
-        assert all(row is not None for row in work)
-        grid = work[0].copy()
-        dense = []
-        # noise and short periods gather through a segment index, long
-        # periods repeat the coefficients: both paths must agree bit for bit
-        for x in (np.random.default_rng(27).normal(0, 1, n),
-                  *(np.sin(2 * np.pi * t / period + 0.3) for period in (7, 40, 400))):
-            maxima, minima = find_extrema(x)
-            dense.append(8 * (maxima.size + minima.size + 8) > 2 * n)
-            got = _envelope_from_extrema(x, maxima, minima, work).copy()
-            assert got.tobytes() == _envelope_from_extrema(x, maxima, minima).tobytes()
-            assert got.tobytes() == two_spline_envelope_mean(x, maxima, minima).tobytes()
-        assert dense == [True, True, False, False]
-        assert work[0].tobytes() == grid.tobytes()  # the grid row is only read
+        for n in (300, 9000):
+            t = np.arange(n)
+            work = _envelope_work(n)
+            grid = work[0].copy()
+            dense = []
+            # noise and short periods gather through a segment index, long
+            # periods repeat the coefficients: both paths must agree bit for bit
+            for x in (np.random.default_rng(27).normal(0, 1, n),
+                      *(np.sin(2 * np.pi * t / period + 0.3) for period in (7, 40, n / 20))):
+                maxima, minima = find_extrema(x)
+                dense.append(8 * (maxima.size + minima.size + 8) > 2 * n)
+                got = _envelope_from_extrema(x, maxima, minima, work).copy()
+                assert got.tobytes() == _envelope_from_extrema(x, maxima, minima).tobytes()
+                assert got.tobytes() == two_spline_envelope_mean(x, maxima, minima).tobytes()
+            assert dense == [True, True, False, False]
+            assert work[0].tobytes() == grid.tobytes()  # the grid row is only read
 
 
 def envelope_mean(x):
