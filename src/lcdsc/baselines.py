@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .emd import Decomposition, _as_1d_float, _integer
-from .simulation import rss
 
 _MAD_TO_SIGMA = 0.6745
 
@@ -35,6 +34,22 @@ def keep_subset(d: Decomposition, indices) -> np.ndarray:
     return out
 
 
+def _ascending_subsets(n_imfs: int):
+    """Yield every index tuple out of ``n_imfs`` IMFs in lexicographic order,
+    so that each one extends, or follows a sibling of, the one before."""
+    s: tuple[int, ...] = ()
+    yield s
+    while True:
+        last = s[-1] if s else 0
+        if last < n_imfs:
+            s = s + (last + 1,)
+        elif len(s) > 1:
+            s = s[:-2] + (s[-2] + 1,)
+        else:
+            return
+        yield s
+
+
 def _family_subsets(family: str, n_imfs: int):
     """Yield every index tuple a rule family can keep out of ``n_imfs`` IMFs."""
     if family == "khigh":
@@ -48,26 +63,68 @@ def _family_subsets(family: str, n_imfs: int):
     elif family == "powerset":
         if n_imfs > 20:
             raise ValueError("subset explosion: powerset search is capped at 20 imfs")
-        for mask in range(2**n_imfs):
-            # tuple of a list: tuple(genexpr) resizes, so freed tuples pile up in free lists
-            yield tuple([j + 1 for j in range(n_imfs) if mask >> j & 1])
+        yield from _ascending_subsets(n_imfs)
     else:
         raise ValueError(f"unknown rule family {family!r}; expected one of {ORACLE_FAMILIES}")
+
+
+_RSS_BATCH = 4  # subsets whose residual sums of squares are reduced together
+
+
+def _subset_rss(d: Decomposition, truth: np.ndarray, subsets):
+    """Yield ``(rss, len(s), s)`` for every subset ``s``, as ``rss(keep_subset(d, s), truth)``.
+
+    Row ``k`` of a stack holds the sum of the current subset's first ``k``
+    IMFs, so each subset costs one addition per index it does not share
+    with the subset before it: its prefix's sum plus the next, higher
+    IMF, added from zeros in ascending order exactly as ``keep_subset``
+    adds.  Differences from the truth go into a small batch whose
+    squares are summed row by row, each row the same pairwise sum as
+    ``rss`` takes.
+    """
+    imfs = [imf.samples for imf in d.imfs]
+    n = truth.size
+    stack = np.zeros((len(imfs) + 1, n))
+    diffs = np.empty((_RSS_BATCH, n))
+    path: tuple[int, ...] = ()
+    pending = []
+    for s in subsets:
+        shared = min(len(path), len(s))
+        while path[:shared] != s[:shared]:
+            shared -= 1
+        for k in range(shared, len(s)):
+            np.add(stack[k], imfs[s[k] - 1], out=stack[k + 1])
+        path = s
+        np.subtract(truth, stack[len(s)], out=diffs[len(pending)])
+        pending.append(s)
+        if len(pending) == _RSS_BATCH:
+            yield from _batch_rss(diffs, pending)
+            pending = []
+    if pending:
+        yield from _batch_rss(diffs[: len(pending)], pending)
+
+
+def _batch_rss(diffs: np.ndarray, subsets: list):
+    np.multiply(diffs, diffs, out=diffs)
+    for value, s in zip(np.sum(diffs, axis=1).tolist(), subsets):
+        yield value, len(s), s
 
 
 def oracle_select(d: Decomposition, truth, family: str) -> tuple[tuple[int, ...], float]:
     """Best index tuple in a family by residual sum of squares against ``truth``.
 
     Ties prefer the smaller retained set, then the lexicographically
-    smallest index tuple, so the result is deterministic.
+    smallest index tuple, so the result is deterministic.  Every family
+    is walked in an order where each subset mostly extends the one
+    before, and subset sums are kept as running sums with the same bits
+    as ``keep_subset``.
     """
     truth = _as_1d_float(truth, "truth")
     if truth.size != d.residual.size:
         raise ValueError("truth length does not match the decomposition")
     if not np.all(np.isfinite(truth)):
         raise ValueError("truth contains non-finite values")
-    subsets = _family_subsets(family, d.n_imfs)
-    value, _, best = min((rss(keep_subset(d, s), truth), len(s), s) for s in subsets)
+    value, _, best = min(_subset_rss(d, truth, _family_subsets(family, d.n_imfs)))
     return best, value
 
 
@@ -113,9 +170,7 @@ def wavelet_interval_threshold(imf) -> np.ndarray:
     np.maximum.accumulate(idx, out=idx)
     filled = np.where(idx >= 0, signs[np.maximum(idx, 0)], 0.0)
     cuts = np.flatnonzero((filled[:-1] != filled[1:]) & (filled[:-1] != 0) & (filled[1:] != 0)) + 1
-    bounds = np.concatenate(([0], cuts, [x.size]))
-    out = np.zeros_like(x)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if np.abs(x[a:b]).max() > threshold:
-            out[a:b] = x[a:b]
-    return out
+    starts = np.concatenate(([0], cuts))
+    peaks = np.maximum.reduceat(np.abs(x), starts)
+    keep = (peaks > threshold).repeat(np.diff(starts, append=x.size))
+    return np.where(keep, x, 0.0)

@@ -5,7 +5,7 @@ Segments a series under the Gaussian variance likelihood cost
 segment mean) plus an aic, bic or mbic penalty, and returns the global
 minimizer via the optimal-partitioning recursion (Jackson et al. 2005),
 exact up to rounding ties.  Every admissible start of the last segment is
-scanned at every step, with no pruning, so a series of ``n`` samples
+scanned at every end, with no pruning, so a series of ``n`` samples
 costs O(n^2) time and O(n) memory whether or not it has changes.  In the
 cleaning pipeline the series is one IMF's per-cycle amplitude.
 
@@ -23,6 +23,7 @@ import numpy as np
 from .emd import _as_1d_float, _frozen_copy, _integer
 
 _PENALTY_KINDS = ("aic", "bic", "mbic")
+_BLOCK_CELLS = 1 << 16  # most (end, start) cells detection scores at once
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,14 @@ def detect_changepoints(
 
     Plain optimal partitioning: for each end every admissible start of
     the last segment is scanned, so the work is O(n^2) in the series
-    length ``n`` whether or not the series has changes.
+    length ``n`` whether or not the series has changes.  Ends are scored
+    in blocks of at most ``min_seg_len`` rows, one (ends x starts) array
+    per block.  A segment is at least ``min_seg_len`` long, so every
+    start a block reads was settled by an earlier block, and the blocks
+    give the same values as scoring one end at a time.  A block holds at
+    most ``_BLOCK_CELLS`` cells (one row when the starts alone exceed
+    that), so memory is O(n) plus a fixed budget whatever
+    ``min_seg_len`` is.
 
     Exact up to rounding ties: the recursion adds costs in another order
     than ``total_cost`` sums them, so of two splits whose costs tie to
@@ -202,29 +210,55 @@ def detect_changepoints(
     mbic = penalty.kind == "mbic"
     per_change = _change_charge(penalty, 1, n) * penalty_scale
 
-    # admissible starts of a last segment ending before t are 0 and
-    # msl..t-msl, the first 1 + max(0, t - 2*msl + 1) entries of this array;
-    # every per-start quantity below is laid out the same way, so each step
-    # reads prefix views and gathers nothing
+    # admissible starts of a last segment ending at t are 0 and msl..t-msl,
+    # the first max(1, t - 2*msl + 2) entries of this array; every per-start
+    # quantity below is laid out the same way, so a block reads prefix views
     all_starts = np.concatenate(([0], np.arange(msl, n - msl + 1))).astype(np.intp)
+    m = all_starts.size
     start_f = all_starts.astype(float)
     ps_start = ps[all_starts]
     pq_start = pq[all_starts]
-    f_start = np.empty(all_starts.size)  # best value of [0, s) at each start s
+    f_start = np.empty(m)  # best value of [0, s) at each start s
     f_start[0] = -per_change
+    ends = np.arange(n + 1, dtype=float)
     if mbic:
-        # penalty_scale * log(length) for lengths msl..n; at step t the starts
-        # msl..t-msl have lengths t-msl..msl, the reversed first t-2*msl+1 entries
+        # penalty_scale * log(length) for lengths msl..n, laid out so that
+        # row t - msl, column p of log_len2d holds it for end t and start p >= 1
+        # (length t - msl - p + 1); lengths below msl read zeros, and only
+        # inadmissible cells, overwritten below, have them
         log_len = penalty_scale * np.log(np.arange(msl, n + 1, dtype=float))
+        padded = np.zeros(n + m - 1)
+        padded[m - 2 + msl :] = log_len
+        log_len2d = np.lib.stride_tricks.as_strided(
+            padded[m - 1 :], shape=(n - msl + 1, m), strides=(padded.itemsize, -padded.itemsize)
+        )
     prev = np.zeros(n + 1, dtype=np.intp)  # start of the last segment of the best [0, t)
-    buf_len, buf_mean, buf_vals = np.empty((3, all_starts.size))
+    buf = np.empty((3, max(m, msl, min(_BLOCK_CELLS, msl * m))))
+    rows_all = np.arange(msl)
+    # after the first block, cells past the last admissible start of each end
+    # fill a triangle in the block's last columns: row r holds segments of
+    # 1..msl-1 samples from column r on; those blocks are at most `tallest` high
+    tallest = min(msl, max(1, _BLOCK_CELLS // (msl + 1)))
+    short = np.triu(np.ones((tallest, tallest - 1), dtype=bool))
 
-    for t in range(msl, n + 1):
-        n_starts = max(1, t - 2 * msl + 2)
-        lengths = np.subtract(t, start_f[:n_starts], out=buf_len[:n_starts])
-        mean = np.subtract(ps[t], ps_start[:n_starts], out=buf_mean[:n_starts])
+    # Ends are scored in blocks of at most msl rows, as one (ends x starts)
+    # array: the last start that end t admits is t - msl, so every start a
+    # block reads ends before the block does and has its final f_start.
+    # The first block, ends msl..2*msl-1, admits start 0 alone.
+    t0 = msl
+    while t0 <= n:
+        if t0 == msl:
+            height = msl
+        else:
+            height = min(msl, n - t0 + 1, max(1, _BLOCK_CELLS // (t0 - msl + 1)))
+        t1 = t0 + height - 1
+        n_cols = max(1, t1 - 2 * msl + 2)  # the starts the block's last end admits
+        cells = height * n_cols
+        lengths, mean, var = (row[:cells].reshape(height, n_cols) for row in buf)
+        np.subtract(ends[t0 : t1 + 1, None], start_f[:n_cols], out=lengths)
+        np.subtract(ps[t0 : t1 + 1, None], ps_start[:n_cols], out=mean)
         mean /= lengths
-        var = np.subtract(pq[t], pq_start[:n_starts], out=buf_vals[:n_starts])
+        np.subtract(pq[t0 : t1 + 1, None], pq_start[:n_cols], out=var)
         var /= lengths
         mean *= mean
         var -= mean
@@ -232,22 +266,26 @@ def detect_changepoints(
         vals = np.log(var, out=var)
         vals *= lengths  # the segment costs
         if mbic:
-            vals[0] += log_len[t - msl]
-            if n_starts > 1:
-                vals[1:] += log_len[t - 2 * msl :: -1]
-        np.add(f_start[:n_starts], vals, out=vals)
+            vals[:, 0] += log_len[t0 - msl : t1 - msl + 1]
+            vals[:, 1:] += log_len2d[t0 - msl : t1 - msl + 1, 1:n_cols]
+        np.add(f_start[:n_cols], vals, out=vals)
         vals += per_change
+        if n_cols > 1:
+            np.copyto(vals[:, n_cols - height + 1 :], math.inf, where=short[:height, : height - 1])
 
-        best_pos = int(np.argmin(vals))
-        best = float(vals[best_pos])
-        ties = np.flatnonzero(vals == best)
-        if ties.size > 1:
-            # prefer fewer change points, then the smallest tau vector
+        rows = rows_all[:height]
+        best_pos = vals.argmin(axis=1)
+        best = vals[rows, best_pos]
+        vals[rows, best_pos] = math.inf
+        for r in np.flatnonzero(vals.min(axis=1) == best).tolist():
+            # a tie: prefer fewer change points, then the smallest tau vector
+            ties = [int(best_pos[r]), *np.flatnonzero(vals[r] == best[r]).tolist()]
             keys = [(len(k), k) for k in (_taus_ending_at(prev, int(all_starts[p])) for p in ties)]
-            best_pos = int(ties[keys.index(min(keys))])
-        if t <= n - msl:
-            f_start[t - msl + 1] = best
-        prev[t] = all_starts[best_pos]
+            best_pos[r] = ties[keys.index(min(keys))]
+        stored = max(0, min(t1, n - msl) - t0 + 1)  # ends that also start a later segment
+        f_start[t0 - msl + 1 : t0 - msl + 1 + stored] = best[:stored]
+        prev[t0 : t1 + 1] = all_starts[best_pos]
+        t0 = t1 + 1
 
     taus = _taus_ending_at(prev, int(prev[n]))
     return ChangePointSet(taus, _objective(stats, taus, penalty, penalty_scale))

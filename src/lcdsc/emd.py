@@ -198,10 +198,11 @@ def _zero_crossings(x: np.ndarray) -> int:
 def _envelope_work(n: int) -> tuple:
     """What ``_envelope_from_extrema`` reuses across calls for ``n`` samples.
 
-    The grid ``0..2n-1`` as floats, then three scratch rows of that length
-    that the gathering evaluation of dense knot sets fills.
+    The grid ``0..2n-1`` as floats, then a ``(5, 2n)`` block that the
+    gathering evaluation of dense knot sets fills with the five spread
+    rows of the knot table.
     """
-    return np.arange(2 * n, dtype=float), *np.empty((3, 2 * n))
+    return np.arange(2 * n, dtype=float), np.empty((5, 2 * n))
 
 
 def _envelope_from_extrema(
@@ -216,28 +217,41 @@ def _envelope_from_extrema(
     so elimination never mixes them and every value matches fitting the
     envelopes one at a time, bit for bit.
 
+    Knot positions, the three cubic coefficients and the knot values are
+    the rows of one ``(5, size)`` table, spread to the grid in one call:
+    a gather on dense knot sets, a ``repeat`` on sparse ones.  Horner's
+    rule then runs in place on the spread rows.
+
     ``work`` is ``_envelope_work(n)``, for callers that evaluate many
     envelopes of one length.  The mean returned may be a view into its
-    scratch rows, valid until their next use.
+    block, valid until its next use.
     """
     n = x.size
     end = n - 1
     k_up = maxima.size + 4
     size = k_up + minima.size + 4
     b = k_up - 1  # last knot of the upper block; b + 1 starts the lower one
-    u0, u1, u2, u3 = maxima[[0, 1, -2, -1]].tolist()
-    l0, l1, l2, l3 = minima[[0, 1, -2, -1]].tolist()
+    # single items below: setting and reading them one by one costs less
+    # than one fancy index built from a list
+    u0, u1 = maxima[:2].tolist()
+    u2, u3 = maxima[-2:].tolist()
+    l0, l1 = minima[:2].tolist()
+    l2, l3 = minima[-2:].tolist()
     src = np.empty(size, dtype=np.intp)
     src[2 : b - 1] = maxima
     src[b + 3 : -2] = minima
-    src[[0, 1, b - 1, b, b + 1, b + 2, -2, -1]] = (u1, u0, u3, u2, l1, l0, l3, l2)
-    vals = x[src]
-    pos = src.astype(float)
+    src[0], src[1], src[b - 1], src[b] = u1, u0, u3, u2
+    src[b + 1], src[b + 2], src[-2], src[-1] = l1, l0, l3, l2
+    # knot table rows: position, then the cubic's a3, a2 and a1 of the segment
+    # each knot starts (the last column starts none), then the knot value
+    knots = np.empty((5, size))
+    pos, a3, a2, a1, vals = knots[0], knots[1, :-1], knots[2, :-1], knots[3, :-1], knots[4]
+    x.take(src, out=vals)
+    pos[:] = src
     pos[b + 3 : -2] += n
-    pos[[0, 1, b - 1, b, b + 1, b + 2, -2, -1]] = (
-        -u1, -u0, 2 * end - u3, 2 * end - u2,
-        n - l1, n - l0, n + 2 * end - l3, n + 2 * end - l2,
-    )
+    pos[0], pos[1], pos[b - 1], pos[b] = -u1, -u0, 2 * end - u3, 2 * end - u2
+    pos[b + 1], pos[b + 2] = n - l1, n - l0
+    pos[-2], pos[-1] = n + 2 * end - l3, n + 2 * end - l2
 
     # natural cubic spline second derivatives m, both blocks in one solve
     # h[b] spans the block boundary (always negative, never zero); every
@@ -261,48 +275,42 @@ def _envelope_from_extrema(
     if info != 0:
         raise ArithmeticError("tridiagonal spline solve failed")
 
-    # segment j runs from knot j to j + 1: cubic a0 + t*(a1 + t*(a2 + t*a3))
-    a1 = m[:-1] * 2.0
+    # segment j runs from knot j to j + 1: cubic vals + t*(a1 + t*(a2 + t*a3))
+    np.multiply(m[:-1], 2.0, out=a1)
     a1 += m[1:]
     a1 *= h
     a1 /= 6.0
     np.subtract(dy, a1, out=a1)
-    a2 = m[:-1] * 0.5
-    a3 = m[1:] - m[:-1]
+    np.multiply(m[:-1], 0.5, out=a2)
+    np.subtract(m[1:], m[:-1], out=a3)
     a3 /= h * 6.0
 
-    # grid points per segment: none left of 0, right of n - 1 or across blocks
-    counts = np.zeros(size - 1, dtype=np.intp)
+    # grid points per knot: none left of 0, right of n - 1, across blocks
+    # or from the last knot
+    counts = np.zeros(size, dtype=np.intp)
     np.subtract(maxima[1:], maxima[:-1], out=counts[2 : b - 2])
-    np.subtract(minima[1:], minima[:-1], out=counts[b + 3 : -2])
-    counts[[1, b - 2, b + 2, -2]] = (u0, n - u3, l0, n - l3)
+    np.subtract(minima[1:], minima[:-1], out=counts[b + 3 : -3])
+    counts[1], counts[b - 2], counts[b + 2], counts[-3] = u0, n - u3, l0, n - l3
     if work is None:
         work = _envelope_work(n)
-    grid, t_row, env_row, coef_row = work
+    grid, block = work
     if 8 * size > 2 * n:
         # short segments: gathering through one segment index per grid point
-        # costs less than repeating every coefficient array
-        seg = np.arange(size - 1).repeat(counts)
-
-        def spread(a, out):
-            # seg holds valid indices only; "clip" just lets take fill out unbuffered
-            return np.take(a, seg, out=out, mode="clip")
+        # costs less than repeating every row; the index is always valid,
+        # "clip" just lets take fill the block unbuffered
+        knots.take(np.arange(size).repeat(counts), axis=1, out=block, mode="clip")
     else:
-
-        def spread(a, out):
-            # long segments: repeat fills runs faster than take gathers, though
-            # it cannot write into the scratch rows
-            return a[: size - 1].repeat(counts)
-
-    t = spread(pos, t_row)
+        # long segments: repeat fills runs faster than take gathers, though
+        # it cannot write into the block
+        block = knots.repeat(counts, axis=1)
+    t, env, a2_grid, a1_grid, vals_grid = block
     np.subtract(grid, t, out=t)
-    env = spread(a3, env_row)
     env *= t
-    env += spread(a2, coef_row)
+    env += a2_grid
     env *= t
-    env += spread(a1, coef_row)
+    env += a1_grid
     env *= t
-    env += spread(vals, coef_row)
+    env += vals_grid
     mean = env[:n]
     mean += env[n:]
     mean *= 0.5

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from lcdsc import (
     wavelet_hard_threshold,
     wavelet_interval_threshold,
 )
-from lcdsc.baselines import _family_subsets
+from lcdsc import baselines
+from lcdsc.baselines import ORACLE_FAMILIES, _family_subsets
 
 
 def make_decomposition(rows):
@@ -117,6 +120,67 @@ class TestOracleSelect:
             oracle_select(seven_imfs, np.zeros(40), "median")
 
 
+def reference_family(family, n_imfs):
+    """Every index tuple of a rule family, written out independently."""
+    everything = range(1, n_imfs + 1)
+    if family == "powerset":
+        return [s for k in range(n_imfs + 1) for s in itertools.combinations(everything, k)]
+    bands = [()] + [tuple(range(lo, hi + 1)) for lo in everything for hi in range(lo, n_imfs + 1)]
+    if family == "band":
+        return bands
+    if family == "khigh":
+        return [s for s in bands if not s or s[-1] == n_imfs]
+    return [s for s in bands if not s or s[0] == 1]
+
+
+def reference_oracle(d, truth, family):
+    """One keep_subset and one rss per subset, the direct form of the search."""
+    value, _, best = min((rss(keep_subset(d, s), truth), len(s), s)
+                         for s in reference_family(family, d.n_imfs))
+    return best, value
+
+
+class TestOracleMatchesPerSubsetSearch:
+    """oracle_select's running sums give the per-subset search's rule and rss bits."""
+
+    def check(self, d, truth):
+        for family in ORACLE_FAMILIES:
+            got_rule, got_value = oracle_select(d, truth, family)
+            want_rule, want_value = reference_oracle(d, truth, family)
+            assert got_rule == want_rule, family
+            assert got_value.hex() == want_value.hex(), family
+
+    def test_family_enumerations(self):
+        for n_imfs in range(8):
+            for family in ORACLE_FAMILIES:
+                got = list(_family_subsets(family, n_imfs))
+                assert len(got) == len(set(got))
+                assert sorted(got) == sorted(reference_family(family, n_imfs))
+
+    def test_random_decompositions(self):
+        rng = np.random.default_rng(16)
+        for width in range(11):
+            n = int(rng.integers(5, 300))
+            rows = [rng.normal(0, 1, n) * 10.0 ** rng.uniform(-2, 2) for _ in range(width)]
+            d = Decomposition(tuple(Imf(r) for r in rows), rng.normal(0, 1, n))
+            self.check(d, rng.normal(0, 1, n) * float(width))
+
+    def test_duplicated_imfs_force_ties(self):
+        rng = np.random.default_rng(17)
+        a, b = rng.normal(0, 1, 64), rng.normal(0, 1, 64)
+        d = make_decomposition([a, b, a, np.zeros(64), b, a])
+        for truth in (a, a + b, np.zeros(64), 2 * a):
+            self.check(d, truth)
+
+    def test_truth_equal_to_one_imf(self):
+        rng = np.random.default_rng(18)
+        rows = [rng.normal(0, 1, 50) for _ in range(7)]
+        d = make_decomposition(rows)
+        for j in range(7):
+            self.check(d, rows[j])
+            assert oracle_select(d, rows[j], "powerset") == ((j + 1,), 0.0)
+
+
 class TestNoiseSigma:
     def test_standard_normal(self):
         x = np.random.default_rng(5).normal(0, 1, 10000)
@@ -216,3 +280,58 @@ class TestWaveletIntervalThreshold:
         outside = np.count_nonzero(out[:2000]) + np.count_nonzero(out[2300:])
         assert np.any(out[2000:2300] != 0)
         assert outside < 0.01 * 3700
+
+
+def reference_interval_threshold(x):
+    """The per-interval form: zero each inter-zero-crossing interval whose
+    largest magnitude does not exceed the universal threshold."""
+    x = np.asarray(x, dtype=float)
+    threshold = baselines._universal_threshold(x)
+    signs = np.sign(x)
+    idx = np.where(signs != 0, np.arange(x.size), -1)
+    np.maximum.accumulate(idx, out=idx)
+    filled = np.where(idx >= 0, signs[np.maximum(idx, 0)], 0.0)
+    cuts = np.flatnonzero((filled[:-1] != filled[1:]) & (filled[:-1] != 0) & (filled[1:] != 0)) + 1
+    bounds = np.concatenate(([0], cuts, [x.size]))
+    out = np.zeros_like(x)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if np.abs(x[a:b]).max() > threshold:
+            out[a:b] = x[a:b]
+    return out
+
+
+class TestIntervalThresholdMatchesPerIntervalLoop:
+    def check(self, x):
+        x = np.asarray(x, dtype=float)
+        got = wavelet_interval_threshold(x)
+        assert got.dtype == x.dtype and got.shape == x.shape
+        assert got.tobytes() == reference_interval_threshold(x).tobytes()
+
+    def test_edge_cases(self):
+        self.check([0.0])
+        self.check([-2.5])
+        self.check(np.zeros(40))
+        self.check([0.0, 0.0, 0.0, 3.0, -1.0, 0.0, 0.0, 2.0, -0.0, 0.0])
+        self.check([-0.0, 5.0, 0.0, -5.0, -0.0])
+        spike = np.zeros(300)
+        spike[150] = -9.0
+        self.check(spike)
+
+    def test_peak_equal_to_threshold_is_zeroed(self, monkeypatch):
+        # an interval survives only when its peak exceeds the threshold
+        monkeypatch.setattr(baselines, "_universal_threshold", lambda x: 2.0)
+        x = np.array([1.0, 2.0, -1.0, -2.5, 0.0, 2.0, 1.5, -2.0])
+        want = np.array([0.0, 0.0, -1.0, -2.5, 0.0, 0.0, 0.0, 0.0])
+        assert wavelet_interval_threshold(x).tobytes() == want.tobytes()
+        self.check(x)
+
+    def test_sign_runs(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            n = int(rng.integers(1, 500))
+            run = int(rng.choice([1, 2, 5, 40, 200]))
+            signs = np.repeat(rng.choice([-1.0, 0.0, 1.0], n // run + 1, p=[0.45, 0.1, 0.45]), run)[:n]
+            x = signs * np.round(rng.exponential(1.0, n) * 10.0 ** rng.uniform(-1, 2), 2)
+            if rng.random() < 0.3:
+                x[: int(rng.integers(0, n + 1))] = 0.0  # leading zeros
+            self.check(x)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcdsc import ChangePointSet, Penalty, SegStats, detect_changepoints, penalty_value, segment_cost
+from lcdsc import changepoint
 
 
 def alternating_instance(seed):
@@ -263,24 +265,70 @@ class TestDetect:
         # both sides; one with more can only beat the enumeration.
         assert got.total_cost <= want[0] + 1e-9
 
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None, max_examples=80)
     @given(
-        st.integers(12, 80).flatmap(
-            lambda n: st.one_of(
-                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                st.lists(st.floats(-3, 3), min_size=n, max_size=n),
+        st.integers(2, 7).flatmap(
+            lambda msl: st.tuples(
+                st.integers(max(12, 2 * msl), 150).flatmap(
+                    lambda n: st.one_of(
+                        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                        st.lists(st.floats(-3, 3), min_size=n, max_size=n),
+                    )
+                ),
+                st.just(msl),
             )
         ),
-        st.integers(2, 4),
         st.sampled_from(["bic", "mbic", "aic"]),
         st.floats(0.5, 8.0),
         st.sampled_from([1.0, 2.0]),
     )
-    def test_property_matches_unpruned_search(self, values, msl, kind, beta, scale):
+    def test_property_matches_unpruned_search(self, values_msl, kind, beta, scale):
+        # min_seg_len sets the height of the blocks of ends, and n how full the last one is
+        values, msl = values_msl
         x = np.array(values, dtype=float)
         penalty = Penalty("aic", beta) if kind == "aic" else Penalty(kind)
         got = detect_changepoints(x, penalty, msl, scale)
         assert got.taus == unpruned_search(x, penalty, msl, scale)
+
+    def test_every_block_shape_matches_unpruned_search(self, monkeypatch):
+        # ends are scored in blocks of min_seg_len rows unless a cell budget
+        # caps them; cover full and partial last blocks, and capped heights
+        rng = np.random.default_rng(41)
+        for cells in (None, 1, 7, 40):
+            if cells is not None:
+                monkeypatch.setattr(changepoint, "_BLOCK_CELLS", cells)
+            for msl in range(2, 8):
+                for n in range(2 * msl, 5 * msl + 1, 3):
+                    for x in (rng.integers(-2, 3, n).astype(float), rng.normal(0, 1, n)):
+                        for penalty in (Penalty("bic"), Penalty("mbic"), Penalty("aic", 1.5)):
+                            got = detect_changepoints(x, penalty, msl, 2.0)
+                            assert got.taus == unpruned_search(x, penalty, msl, 2.0)
+
+    def test_exact_ties_follow_the_tie_rule(self):
+        # periodic series tie exactly between splits with as many changes;
+        # the earliest tied start is not the one the tie rule picks here
+        cases = [
+            (([0.0, 2.0, -1.0] * 6)[:17], Penalty("aic", 0.5), (1, 3, 7, 9, 14)),
+            (([1.0, 0.0, -2.0] * 6)[:17], Penalty("aic", 0.5), (1, 5, 7, 12, 14)),
+            (([1.0, 2.0, 2.0, -2.0, 1.0] * 5)[:21], Penalty("bic"), (1, 3, 5, 7, 10, 12, 18)),
+        ]
+        for values, penalty, want in cases:
+            x = np.array(values)
+            got = detect_changepoints(x, penalty, 2)
+            assert got.taus == want
+            assert got.taus == unpruned_search(x, penalty, 2)
+
+    def test_memory_does_not_grow_with_min_seg_len(self):
+        # a block of min_seg_len ends would be 3 x 500 x 5002 floats (60 MB);
+        # the cell budget bounds every block
+        x = np.random.default_rng(42).normal(0, 1, 6000)
+        tracemalloc.start()
+        try:
+            detect_changepoints(x, Penalty("mbic"), 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
