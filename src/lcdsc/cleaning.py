@@ -39,7 +39,6 @@ from .emd import (
     Decomposition,
     EmdConfig,
     _as_1d_float,
-    _frozen_copy,
     _integer,
     _zero_crossings,
     eemd,
@@ -155,7 +154,7 @@ def _detect_stage(
     analyses = []
     empty = ChangePointSet((), 0.0)
     for j, imf in enumerate(d.imfs, start=1):
-        amp = instantaneous_amplitude(imf.samples)
+        amp = _frozen(instantaneous_amplitude(imf.samples))
         stride, factor = _cycle_stride(imf.samples, n)
         guarded = amp.copy()
         if n > 2 * stride:
@@ -168,7 +167,7 @@ def _detect_stage(
             diagnostics.append(
                 f"imf {j}: amplitude too short to segment; component zeroed"
             )
-            analyses.append(_ImfAnalysis(_frozen_copy(amp), empty, ()))
+            analyses.append(_ImfAnalysis(amp, empty, ()))
             continue
         cps = detect_changepoints(sampled, config.penalty, msl, config.penalty_scale)
         taus_full = tuple(int((tau + 1) * stride - 1) for tau in cps.taus)
@@ -179,8 +178,27 @@ def _detect_stage(
                 (lo, hi, sample_variance(sampled, a, b), _effective_count(b - a + 1, factor))
                 for (a, b), (lo, hi) in zip(cps.segments(sampled.size), full_view.segments(n))
             )
-        analyses.append(_ImfAnalysis(_frozen_copy(amp), full_view, segments))
+        analyses.append(_ImfAnalysis(amp, full_view, segments))
     return tuple(analyses), tuple(diagnostics)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which the stage has just created, made read-only in place."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _sum_rows(rows: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    """A fresh sum of ``rows``: zeros, then each row added in order.
+
+    For rows of two or more samples (every decomposition's) these are the
+    additions of ``np.sum(np.stack(rows), axis=0)`` in its order, from
+    +0.0 too, so the bits match without the stacked copy.
+    """
+    total = np.zeros(n)
+    for row in rows:
+        total += row
+    return total
 
 
 def _effective_count(samples: int, factor: float) -> int:
@@ -226,12 +244,12 @@ def _testing_stage(
         per_imf[decision.test.imf_index - 1].append(decision)
 
     cleaned_imfs = tuple(
-        _frozen_copy(clean_imf(imf.samples, analysis.changepoints, decs))
+        _frozen(clean_imf(imf.samples, analysis.changepoints, decs))
         for imf, analysis, decs in zip(d.imfs, analyses, per_imf)
     )
-    cleaned = np.sum(np.stack(cleaned_imfs), axis=0) if cleaned_imfs else np.zeros(n)
+    cleaned = _sum_rows(cleaned_imfs, n)
     if config.include_residual:
-        cleaned = cleaned + d.residual
+        cleaned += d.residual
     eta = frozenset(dec.test.imf_index for dec in decisions if dec.significant)
     return CleaningReport(
         decomposition=d,
@@ -239,7 +257,7 @@ def _testing_stage(
         changepoints=tuple(a.changepoints for a in analyses),
         decisions=decisions,
         cleaned_imfs=cleaned_imfs,
-        cleaned_signal=_frozen_copy(cleaned),
+        cleaned_signal=_frozen(cleaned),
         significant_imfs=eta,
         config=config,
         diagnostics=diagnostics,

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
@@ -71,6 +73,72 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# what the C reader may parse: a csv header of printable ASCII without quotes,
+# then lines of number characters (and commas in csv)
+_NEWLINES = re.compile(r"\n*")
+_HEADER_TEXT = re.compile(r"[ !#-~]*")
+_PLAIN_BODY = re.compile(r"[0-9+\-.eE\n]*+")
+_CSV_BODY = re.compile(r"[0-9+\-.eE,\n]*+")
+_ROW_TEXT = re.compile(r"[^\n]")
+
+
+@functools.lru_cache(maxsize=4)
+def _csv_body(limit: int) -> re.Pattern:
+    """Number-character csv lines whose fields hold at most ``limit`` characters."""
+    return re.compile(r"(?:[0-9+\-.eE]{0,%d}+[,\n])*+[0-9+\-.eE]{0,%d}+" % (limit, limit))
+
+
+def _numeric_series(path: str, fmt: str, content: str) -> TimeSeries | None:
+    """The series ``np.loadtxt`` reads from ``path``, or None to leave it to the per-row reader.
+
+    Only plain numeric text qualifies (see ``ingest``).  Every check of
+    the per-row reader is repeated on arrays with the same formulas, and
+    any failure returns None, so that the per-row reader names the fault.
+    """
+    if not content.isascii():
+        return None
+    start, skip = _NEWLINES.match(content).end(), 0
+    if fmt == "plain":
+        body = _PLAIN_BODY
+    else:
+        limit = csv.field_size_limit()  # the per-row reader rejects a longer field
+        body = _CSV_BODY if limit >= len(content) else _csv_body(limit)
+        end = content.find("\n", start)
+        first = content[start:end] if end >= 0 else content[start:]
+        try:
+            float(first.split(",", 1)[0])
+        except ValueError:  # the per-row reader's header rule: skip the line
+            if (end < 0 or not first.strip() or not _HEADER_TEXT.fullmatch(first)
+                    or max(map(len, first.split(","))) > limit):
+                return None
+            start = end + 1
+            skip = content.count("\n", 0, start)  # loadtxt counts blank lines too
+    if not body.fullmatch(content, start) or not _ROW_TEXT.search(content, start):
+        return None  # loadtxt warns on text without a row
+    try:
+        # an open file, not the path: loadtxt would treat a path ending in .gz
+        # as compressed and one that looks like a URL as remote
+        with open(path, encoding="utf-8-sig") as fh:
+            data = np.loadtxt(fh, delimiter=",", comments=None, skiprows=skip, ndmin=2)
+    except (OSError, ValueError):
+        return None
+    if data.shape[0] < _MIN_SAMPLES or data.shape[1] != (1 if fmt == "plain" else 2):
+        return None
+    if not np.isfinite(data).all():
+        return None
+    if fmt == "plain":
+        return TimeSeries(data[:, 0], 1.0)
+    ts = data[:, 0]
+    dt = float(ts[1] - ts[0])
+    if dt <= 0:
+        return None
+    steps = np.diff(ts)
+    steps -= dt
+    if (np.abs(steps, out=steps) > 1e-6 * abs(dt)).any():
+        return None
+    return TimeSeries(data[:, 1], dt)
+
+
 def ingest(path: str, fmt: str = "auto") -> TimeSeries:
     """Read a series from disk.
 
@@ -80,6 +148,14 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
     and a leading byte-order mark is skipped.  Blank lines are skipped,
     every row is one line, and an error names the row by its line number
     in the file.
+
+    Plain numeric text goes to NumPy's C reader (``np.loadtxt``), which
+    reads it without a Python object per row: ASCII text with no ``"``
+    and no line boundary but ``\\n``, whose lines after an optional csv
+    header hold only digits, ``+-.eE`` and, in csv, commas.  Any other
+    text, and any text that fails a check there, goes to the per-row
+    reader, which writes every error message; the series, ``dt`` and
+    messages are the same either way.
     """
     if fmt == "auto":
         fmt = "csv" if path.lower().endswith(".csv") else "plain"
@@ -92,6 +168,12 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
+    series = _numeric_series(path, fmt, content)
+    return series if series is not None else _row_series(path, fmt, content)
+
+
+def _row_series(path: str, fmt: str, content: str) -> TimeSeries:
+    """The per-row reader of ``ingest``: one Python float per field, every error named."""
     lines = [ln for ln in content.splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")

@@ -195,18 +195,19 @@ def _zero_crossings(x: np.ndarray) -> int:
     return int(np.count_nonzero(positive[:-1] != positive[1:]))
 
 
-def _envelope_work(n: int) -> tuple:
+def _envelope_work(n: int) -> list:
     """What ``_envelope_from_extrema`` reuses across calls for ``n`` samples.
 
-    The grid ``0..2n-1`` as floats, then a ``(5, 2n)`` block that the
+    The grid ``0..2n-1`` as floats, then the ``(5, 2n)`` block that the
     gathering evaluation of dense knot sets fills with the five spread
-    rows of the knot table.
+    rows of the knot table.  The block is allocated on its first use, so
+    a sift whose knot sets all stay sparse never holds it.
     """
-    return np.arange(2 * n, dtype=float), np.empty((5, 2 * n))
+    return [np.arange(2 * n, dtype=float), None]
 
 
 def _envelope_from_extrema(
-    x: np.ndarray, maxima: np.ndarray, minima: np.ndarray, work: tuple | None = None
+    x: np.ndarray, maxima: np.ndarray, minima: np.ndarray, work: list | None = None
 ) -> np.ndarray:
     """Mean of the natural-spline envelopes through ``maxima`` and ``minima``.
 
@@ -293,11 +294,14 @@ def _envelope_from_extrema(
     counts[1], counts[b - 2], counts[b + 2], counts[-3] = u0, n - u3, l0, n - l3
     if work is None:
         work = _envelope_work(n)
-    grid, block = work
+    grid = work[0]
     if 8 * size > 2 * n:
         # short segments: gathering through one segment index per grid point
         # costs less than repeating every row; the index is always valid,
         # "clip" just lets take fill the block unbuffered
+        if work[1] is None:
+            work[1] = np.empty((5, 2 * n))
+        block = work[1]
         knots.take(np.arange(size).repeat(counts), axis=1, out=block, mode="clip")
     else:
         # long segments: repeat fills runs faster than take gathers, though

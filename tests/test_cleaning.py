@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from lcdsc import (
     ChangePointSet,
+    Decomposition,
     EmdConfig,
+    Imf,
     LcdscConfig,
     LocalSignalSpec,
     SegmentDecision,
     TimeSeries,
+    clean_decomposition,
     clean_imf,
     f_test_segment,
     gamma_sweep,
@@ -19,6 +22,7 @@ from lcdsc import (
     local_doppler,
     run_benchmark,
 )
+from lcdsc.cleaning import _sum_rows
 
 FAST_EMD = EmdConfig(ensemble_size=6, seed=0)
 
@@ -143,6 +147,64 @@ class TestPipeline:
         with_res = lcdsc_clean(noisy, config)
         base = np.sum(np.stack(with_res.cleaned_imfs), axis=0)
         assert np.array_equal(with_res.cleaned_signal, base + with_res.decomposition.residual)
+
+
+def stack_sum(rows, n):
+    """The reference for the cleaned signal: ``np.sum`` over a stacked copy."""
+    return np.sum(np.stack(rows), axis=0) if rows else np.zeros(n)
+
+
+def bursty_rows(rng, width, n):
+    """IMF-like rows, each with a variance burst to detect, and a few signed zeros."""
+    t = np.arange(n)
+    rows = []
+    for j in range(width):
+        period = 4.0 * 2**j
+        gain = np.where((t > n // 3) & (t < n // 2 + 37 * j), 8.0, 1.0)
+        row = gain * np.sin(2 * np.pi * t / period + rng.uniform(0, 6)) * rng.uniform(0.5, 2, n)
+        row[rng.random(n) < 0.01] = -0.0
+        rows.append(row)
+    return rows
+
+
+class TestCleanedSum:
+    """The cleaned signal adds the cleaned IMFs in order, without a stacked copy."""
+
+    def test_in_order_sum_matches_stack_sum(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            width, n = int(rng.integers(0, 12)), int(rng.integers(2, 300))
+            rows = tuple(rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n) *
+                         (rng.random(n) > 0.2) * rng.choice([-1.0, 1.0], n)
+                         for _ in range(width))
+            assert _sum_rows(rows, n).tobytes() == stack_sum(rows, n).tobytes()
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 6])
+    @pytest.mark.parametrize("include_residual", [False, True])
+    def test_cleaned_signal_matches_stack_sum(self, width, include_residual):
+        n = 1200
+        rng = np.random.default_rng(width)
+        rows = bursty_rows(rng, width, n)
+        d = Decomposition(tuple(Imf(row) for row in rows), rng.normal(size=n) * 0.1)
+        config = LcdscConfig(include_residual=include_residual)
+        report = clean_decomposition(d, config)
+        assert len(report.cleaned_imfs) == width
+        if width:
+            assert any(np.any(c) for c in report.cleaned_imfs)  # something was kept
+        want = stack_sum(report.cleaned_imfs, n)
+        if include_residual:
+            want = want + d.residual
+        assert report.cleaned_signal.tobytes() == want.tobytes()
+
+    def test_stage_arrays_are_read_only(self):
+        rng = np.random.default_rng(5)
+        d = Decomposition(tuple(Imf(row) for row in bursty_rows(rng, 3, 1200)), np.zeros(1200))
+        for config in (LcdscConfig(), LcdscConfig(include_residual=True)):
+            report = clean_decomposition(d, config)
+            for arr in (report.cleaned_signal, *report.cleaned_imfs, *report.amplitudes):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
 
 
 class TestGammaSweep:

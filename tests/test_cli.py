@@ -11,6 +11,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lcdsc
 from lcdsc import EmdConfig, LcdscConfig, keep_subset, lcdsc_clean
@@ -36,6 +38,57 @@ def sim_dir(tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+def _restyled(text: str, style: int) -> str:
+    """A float's text in another spelling of the same value: signs, ``.5``, ``5.``."""
+    sign = text[:1] if text[:1] in "+-" else ""
+    body = text[len(sign):]
+    if style == 1 and not sign:
+        return "+" + text
+    if style == 2 and body.startswith("0.") and body[2:3].isdigit():
+        return sign + body[1:]
+    if style == 3 and body.isdigit():
+        return text + "."
+    if style == 4:
+        return text.replace("e", "E")
+    return text
+
+
+_float_texts = st.tuples(
+    st.sampled_from(["", "+", "-"]),
+    st.text("0123456789", max_size=25),
+    st.sampled_from(["", "."]),
+    st.text("0123456789", max_size=25),
+    st.sampled_from(["", "e", "E", "e+", "e-", "E-"]),
+    st.text("0123456789", min_size=1, max_size=2),
+).filter(lambda p: (p[1] + p[3]) and (p[2] or not p[3])).map(
+    lambda p: "".join(p[:4]) + (p[4] + p[5] if p[4] else ""))
+
+
+@st.composite
+def numeric_texts(draw, fmt: str) -> str:
+    """Plain numeric text for ``ingest``: optional csv header, blank lines, varied spellings."""
+    n = draw(st.integers(4, 40))
+    values = draw(st.lists(
+        st.one_of(_float_texts,
+                  st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                  st.integers(-10**6, 10**6).map(str)),
+        min_size=n, max_size=n))
+    styles = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    rows = [_restyled(v, k) for v, k in zip(values, styles)]
+    if fmt == "csv":
+        step = draw(st.sampled_from([1.0, 0.5, 0.01, 2e-3, 125.0]))
+        start = draw(st.sampled_from([0.0, -3.0, 1e4]))
+        spell = draw(st.sampled_from(["{!r}", "{:.17g}", "{:.9e}"]))
+        rows = [_restyled(spell.format(start + i * step), k) + "," + v
+                for i, (v, k) in enumerate(zip(rows, styles))]
+        if draw(st.booleans()):
+            rows.insert(0, draw(st.sampled_from(["t,value", "time (s),amp", "x", "t,v,w"])))
+    for _ in range(draw(st.integers(0, 4))):
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    text = "\n".join(rows)
+    return text + "\n" if draw(st.booleans()) else text
 
 
 class TestIngest:
@@ -87,12 +140,84 @@ class TestIngest:
         ("x.csv", "t,value\n\n0,1\n1,2\n\n2,x\n", "row 6: not a number"),
         ("x.txt", "1\n\n2\nfoo\n", "row 4: not a number"),
         ("x.csv", 't,value\n\n0,"1\n2"\n1,3\n2,4\n', "row 3: quoted field runs past the end"),
-    ], ids=["csv", "plain", "csv-quoted-newline"])
+        ("x.csv", "t,value\n0,1_0\n1,2\n2,3\n3,x\n", "row 5: not a number"),
+        ("x.csv", "t,value\n0,1\x0c1,2\n2,3\n3,x\n", "row 5: not a number"),
+        ("x.csv", "t,value\n0,1\n \t\n1,2\n2,3\n3,x\n", "row 6: not a number"),
+        ("x.csv", 't,value\n0,"1"\n1,"2"\n2,"3"\n3,"x"\n', "row 5: not a number"),
+        ("x.csv", "t,value\n0,1\n1,2\n2,1e999\n3,4\n", "row 4: non-finite value"),
+        ("x.csv", "t,value\n0,1\n1,2\n2,inf\n3,4\n", "row 4: non-finite value"),
+        ("x.csv", "t,value\n0,1\n1,2,3\n2,3\n3,4\n", "row 3: expected 2 columns, got 3"),
+        ("x.csv", "t,value\n", "the decomposition needs at least 4 samples, got 0"),
+        ("x.csv", "t,value\n\n0,1\n1,2\n2,3\n", "the decomposition needs at least 4 samples, got 3"),
+        ("x.txt", "1\n2\n1e999\n4\n", "row 3: non-finite value"),
+        ("x.csv", "t,value\n0,1\n1,2\n3,3\n4,4\n", "row 4: non-uniform sample spacing"),
+        ("x.csv", "t,value\n0,1\n1,0." + "0" * 140_000 + "1\n2,3\n3,4\n",
+         "row 3: field larger than field limit"),
+        ("x.csv", "t" * 140_000 + ",value\n0,1\n1,2\n2,3\n3,4\n",
+         "row 1: field larger than field limit"),
+    ], ids=["csv", "plain", "csv-quoted-newline", "underscore", "form-feed", "whitespace-line",
+            "quoted-numbers", "overflow-inf", "inf", "three-columns", "header-only",
+            "three-rows", "plain-overflow-inf", "gap", "long-finite-field", "long-header-field"])
     def test_errors_name_file_lines(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name
-        path.write_text(text)
-        assert run_cli("decompose", str(path), "--out-dir", str(tmp_path / "o")) == 2
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on text without a row
+            assert run_cli("decompose", str(path), "--out-dir", str(tmp_path / "o")) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text", [
+        ("x.csv", "t,value\r\n0,1\r\n1,2\r\n2,3\r\n3,4\r\n"),
+        ("x.csv", "t,value\n0,1_0\n1,2\n2,3\n3,4\n"),
+        ("x.csv", "t,value\n0,1\x0c1,2\n2,3\n3,4\n"),
+        ("x.csv", "t,value\n0,1\n \t\n1,2\n2,3\n3,4\n"),
+        ("x.csv", "  \n0,1\n1,2\n2,3\n3,4\n"),
+        ("x.csv", 't,value\n0,"1"\n1,"2"\n2,3\n3,4\n'),
+        ("x.csv", "t,value\n0, 1\n1,2\n2,3\n3,4\n"),
+        ("x.csv", "\u00b5s,value\n0,1\n1,2\n2,3\n3,4\n"),
+        ("x.csv", "t,value\n0,1\n1,2\n2,3\n3,4\u2028"),
+        ("x.txt", "1\n2\n3\n4\x1e"),
+        ("x.txt", "1\n2\n 3\n4\n"),
+    ], ids=["crlf", "underscore", "form-feed", "whitespace-line", "leading-spaces-line",
+            "quoted-numbers", "space",
+            "non-ascii-header", "line-separator", "record-separator", "plain-space"])
+    def test_text_beyond_plain_numbers_takes_the_per_row_reader(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        fmt = "csv" if name.endswith(".csv") else "plain"
+        assert cli._numeric_series(str(path), fmt, text) is None
+        series = ingest(str(path))
+        assert series.samples.tobytes() == cli._row_series(str(path), fmt, text).samples.tobytes()
+        assert len(series) == 4
+
+    def test_c_reader_memory_is_bounded_by_the_file_size(self, tmp_path):
+        assert run_cli("simulate", "doppler", "--T", "20000", "--a-start", "8000",
+                       "--a-end", "12000", "--seed", "1", "--out", str(tmp_path)) == 0
+        path = tmp_path / "noisy.csv"
+        ingest(str(path))  # first-call imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            series = ingest(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert len(series) == 20000 and size > 400_000
+        assert peak <= 3 * size, (peak, size)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_c_reader_matches_per_row_reader(self, tmp_path_factory, data):
+        fmt = data.draw(st.sampled_from(["csv", "plain"]))
+        text = data.draw(numeric_texts(fmt))
+        path = tmp_path_factory.mktemp("ingest") / f"x.{'csv' if fmt == 'csv' else 'txt'}"
+        path.write_bytes(text.encode())
+        fast = cli._numeric_series(str(path), fmt, text)
+        assert fast is not None
+        reference = cli._row_series(str(path), fmt, text)  # the reader of every other text
+        assert fast.samples.tobytes() == reference.samples.tobytes()
+        assert type(fast.dt) is float and fast.dt.hex() == reference.dt.hex()
+        assert ingest(str(path), fmt).samples.tobytes() == reference.samples.tobytes()
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -123,6 +248,14 @@ _HOSTILE_INPUTS = {
     "constant": (_csv_bytes(np.full(200, 2.5)), 0),
     "n4": (b"t,value\n0,1\n1,-1\n2,2\n3,0\n", 0),
     "1e300": (_csv_bytes(np.random.default_rng(0).normal(0, 1, 100) * 1e300), 3),
+    # the per-row reader's ground: each exits as it did before the C reader existed
+    "underscore": (b"t,value\n0,1_0\n1,-1\n2,2\n3,0\n", 0),
+    "form-feed": (b"t,value\n0,1\x0c1,-1\n2,2\n3,0\n", 0),
+    "whitespace-line": (b"t,value\n0,1\n \t \n1,-1\n2,2\n3,0\n", 0),
+    "quoted-numbers": (b't,value\n"0","1"\n1,"-1"\n2,2\n3,0\n', 0),
+    "overflow-inf": (b"t,value\n0,1\n1,1e999\n2,3\n3,1\n", 2),
+    "three-columns": (b"t,value\n0,1\n1,-1,5\n2,2\n3,0\n", 2),
+    "blank-after-header": (b"t,value\n\n\n", 2),
 }
 _HOSTILE_CONFIGS = {
     "nan-gamma": (b"gamma = nan\n", 1),

@@ -229,6 +229,30 @@ class TestEnvelopeWork:
             assert work[0].tobytes() == grid.tobytes()  # the grid row is only read
 
 
+    def test_sparse_sift_never_allocates_the_gather_block(self, monkeypatch):
+        n = 20000
+        x = np.sin(2 * np.pi * np.arange(n) / 500.0)  # 80 extrema: every knot set stays sparse
+        works = []
+
+        def recorded(size):
+            works.append(_envelope_work(size))
+            return works[-1]
+
+        monkeypatch.setattr(emd_module, "_envelope_work", recorded)
+        sift(x)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            imf = sift(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(works) == 2 and all(work[1] is None for work in works)
+        assert imf.samples.tobytes() == sift(x, EmdConfig()).samples.tobytes()
+        # the grid, one repeated (5, 2n) table and a few rows of n: about 13 rows
+        # of n floats, where a (5, 2n) block beside them made it about 23
+        assert peak < 18 * 8 * n, peak / (8 * n)
+
+
 def envelope_mean(x):
     return _envelope_from_extrema(x, *find_extrema(x))
 

@@ -10,7 +10,8 @@ with ``workers=1``.  ``perfbench/run.py`` fails a traced op unless its
 ``emd.trial`` count equals the op's ensemble trials, so ``eemd`` calls
 ``emd`` once per trial and ``emd`` calls ``sift`` once per IMF, both
 through the ``lcdsc.emd`` module globals.  ``cli-long-k12`` runs
-``lcdsc simulate`` and ``lcdsc clean``, which accept only full flag names.
+``lcdsc simulate`` and ``lcdsc clean``, which accept only full flag names, and its peak memory
+rests on ``ingest`` reading the simulated CSV with NumPy's C reader.
 The ``check`` of ``clean-short-k100`` and ``bench-grid-k12`` reads
 attributes off ``CleaningReport`` and ``BenchResult`` records, so both
 checks run here on small results.
@@ -28,6 +29,7 @@ import numpy as np
 import pytest
 
 from lcdsc import EmdConfig, LcdscConfig, LocalSignalSpec, lcdsc_clean, local_doppler, run_benchmark
+from lcdsc import cli
 from lcdsc.cli import build_parser
 from lcdsc.simulation import METHOD_NAMES
 
@@ -152,6 +154,24 @@ def test_bench_grid_check_reads_results(tmp_path):
     outcome = workload.check(0, results, str(tmp_path))
     assert isinstance(outcome, workloads.Outcome)
     assert outcome.summary and outcome.problems == []
+
+
+def test_cli_long_input_takes_the_c_reader(tmp_path, monkeypatch):
+    # a change to the CSV writer that sent this input to the per-row reader
+    # would lose the workload's memory figures without failing an op
+    workloads = _perfbench_module("workloads")
+    monkeypatch.setenv("LCDSC_THREADS", "")  # restored after setup overwrites it
+    workload = workloads.CliLong()
+    workload.setup(str(tmp_path))
+
+    def per_row_reader(*args):
+        raise AssertionError("ingest ran its per-row reader")
+
+    monkeypatch.setattr(cli, "_row_series", per_row_reader)
+    for _, path, noisy, _ in workload.inputs:
+        series = cli.ingest(path)
+        assert series.samples.tobytes() == noisy.samples.tobytes()
+        assert series.dt == noisy.dt
 
 
 def test_workload_calls_bind():
