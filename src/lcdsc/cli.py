@@ -23,8 +23,9 @@ read.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
-import functools
+import io
 import json
 import math
 import os
@@ -75,36 +76,49 @@ class _Parser(argparse.ArgumentParser):
 
 # what the C reader may parse: a csv header of printable ASCII without quotes,
 # then lines of number characters (and commas in csv)
-_NEWLINES = re.compile(r"\n*")
+_NEWLINES = re.compile(rb"\n*")
 _HEADER_TEXT = re.compile(r"[ !#-~]*")
-_PLAIN_BODY = re.compile(r"[0-9+\-.eE\n]*+")
-_CSV_BODY = re.compile(r"[0-9+\-.eE,\n]*+")
-_ROW_TEXT = re.compile(r"[^\n]")
+_PLAIN_BODY = re.compile(rb"[0-9+\-.eE\n]*")
+_CSV_BODY = re.compile(rb"[0-9+\-.eE,\n]*")
+_ROW_TEXT = re.compile(rb"[^\n]")
 
 
-@functools.lru_cache(maxsize=4)
-def _csv_body(limit: int) -> re.Pattern:
-    """Number-character csv lines whose fields hold at most ``limit`` characters."""
-    return re.compile(r"(?:[0-9+\-.eE]{0,%d}+[,\n])*+[0-9+\-.eE]{0,%d}+" % (limit, limit))
+def _long_field(raw: bytes, start: int, limit: int) -> bool:
+    """Whether the csv lines ``raw[start:]`` hold a field of more than ``limit`` characters.
+
+    Such a field is a run of ``limit + 1`` characters without a comma or
+    newline, so it covers one of the probes spaced ``limit + 1`` apart; a
+    probe looks at most ``limit + 1`` characters to either side of it.
+    """
+    step = max(limit, 0) + 1  # a negative limit rejects every non-empty field, as 0 does
+    for probe in range(start + step - 1, len(raw), step):
+        lo = probe + 1 - step
+        sep = max(raw.rfind(b",", lo, probe + 1), raw.rfind(b"\n", lo, probe + 1))
+        if sep < 0:  # no separator among the step characters up to the probe
+            return True
+        hi = sep + 1 + step
+        if hi <= len(raw) and raw.find(b",", sep + 1, hi) < 0 and raw.find(b"\n", sep + 1, hi) < 0:
+            return True
+    return False
 
 
-def _numeric_series(path: str, fmt: str, content: str) -> TimeSeries | None:
-    """The series ``np.loadtxt`` reads from ``path``, or None to leave it to the per-row reader.
+def _numeric_series(fmt: str, raw: bytes) -> TimeSeries | None:
+    """The series ``np.loadtxt`` reads from the file bytes ``raw``, or None for the per-row reader.
 
     Only plain numeric text qualifies (see ``ingest``).  Every check of
     the per-row reader is repeated on arrays with the same formulas, and
     any failure returns None, so that the per-row reader names the fault.
     """
-    if not content.isascii():
-        return None
-    start, skip = _NEWLINES.match(content).end(), 0
+    bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    start = _NEWLINES.match(raw, bom).end()
     if fmt == "plain":
         body = _PLAIN_BODY
     else:
+        body = _CSV_BODY
         limit = csv.field_size_limit()  # the per-row reader rejects a longer field
-        body = _CSV_BODY if limit >= len(content) else _csv_body(limit)
-        end = content.find("\n", start)
-        first = content[start:end] if end >= 0 else content[start:]
+        end = raw.find(b"\n", start)
+        # any byte decodes; a non-ASCII one then fails the header or the body pattern
+        first = (raw[start:end] if end >= 0 else raw[start:]).decode("latin-1")
         try:
             float(first.split(",", 1)[0])
         except ValueError:  # the per-row reader's header rule: skip the line
@@ -112,15 +126,16 @@ def _numeric_series(path: str, fmt: str, content: str) -> TimeSeries | None:
                     or max(map(len, first.split(","))) > limit):
                 return None
             start = end + 1
-            skip = content.count("\n", 0, start)  # loadtxt counts blank lines too
-    if not body.fullmatch(content, start) or not _ROW_TEXT.search(content, start):
+    if not body.fullmatch(raw, start) or not _ROW_TEXT.search(raw, start):
         return None  # loadtxt warns on text without a row
+    if fmt == "csv" and _long_field(raw, start, limit):
+        return None
+    lines = io.BytesIO(raw)  # shares the bytes; a StringIO would hold 4 bytes a character
+    lines.seek(bom)
     try:
-        # an open file, not the path: loadtxt would treat a path ending in .gz
-        # as compressed and one that looks like a URL as remote
-        with open(path, encoding="utf-8-sig") as fh:
-            data = np.loadtxt(fh, delimiter=",", comments=None, skiprows=skip, ndmin=2)
-    except (OSError, ValueError):
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                          skiprows=raw.count(b"\n", bom, start))  # loadtxt counts blank lines too
+    except ValueError:
         return None
     if data.shape[0] < _MIN_SAMPLES or data.shape[1] != (1 if fmt == "plain" else 2):
         return None
@@ -147,7 +162,7 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
     per line with an implied unit sample interval.  The file is UTF-8,
     and a leading byte-order mark is skipped.  Blank lines are skipped,
     every row is one line, and an error names the row by its line number
-    in the file.
+    in the file.  The file is read once, so a pipe or FIFO path works.
 
     Plain numeric text goes to NumPy's C reader (``np.loadtxt``), which
     reads it without a Python object per row: ASCII text with no ``"``
@@ -162,14 +177,19 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
     if fmt not in ("csv", "plain"):
         raise UsageError(f"unknown input format {fmt!r}")
     try:
-        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-            content = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    series = _numeric_series(fmt, raw)
+    if series is not None:
+        return series
+    try:
+        content = raw.decode("utf-8-sig")
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
-    series = _numeric_series(path, fmt, content)
-    return series if series is not None else _row_series(path, fmt, content)
+    del raw  # freed before the per-row reader builds its rows
+    return _row_series(path, fmt, content)
 
 
 def _row_series(path: str, fmt: str, content: str) -> TimeSeries:

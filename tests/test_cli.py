@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import re
@@ -185,7 +186,7 @@ class TestIngest:
         path = tmp_path / name
         path.write_bytes(text.encode())
         fmt = "csv" if name.endswith(".csv") else "plain"
-        assert cli._numeric_series(str(path), fmt, text) is None
+        assert cli._numeric_series(fmt, text.encode()) is None
         series = ingest(str(path))
         assert series.samples.tobytes() == cli._row_series(str(path), fmt, text).samples.tobytes()
         assert len(series) == 4
@@ -210,14 +211,43 @@ class TestIngest:
     def test_c_reader_matches_per_row_reader(self, tmp_path_factory, data):
         fmt = data.draw(st.sampled_from(["csv", "plain"]))
         text = data.draw(numeric_texts(fmt))
+        raw = (codecs.BOM_UTF8 if data.draw(st.booleans()) else b"") + text.encode()
         path = tmp_path_factory.mktemp("ingest") / f"x.{'csv' if fmt == 'csv' else 'txt'}"
-        path.write_bytes(text.encode())
-        fast = cli._numeric_series(str(path), fmt, text)
+        path.write_bytes(raw)
+        fast = cli._numeric_series(fmt, raw)
         assert fast is not None
         reference = cli._row_series(str(path), fmt, text)  # the reader of every other text
         assert fast.samples.tobytes() == reference.samples.tobytes()
         assert type(fast.dt) is float and fast.dt.hex() == reference.dt.hex()
         assert ingest(str(path), fmt).samples.tobytes() == reference.samples.tobytes()
+
+    @settings(max_examples=300)
+    @given(st.text("0,\n", max_size=30), st.integers(-2, 6), st.integers(0, 30))
+    def test_long_field_finds_every_field_over_the_limit(self, text, limit, start):
+        raw = text.encode()
+        start = min(start, len(raw))
+        fields = re.split(rb"[,\n]", raw[start:])
+        expected = any(len(field) > max(limit, 0) for field in fields)
+        assert cli._long_field(raw, start, limit) == expected
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_path_is_read_once(self, monkeypatch):
+        # a pipe gives its bytes once: a second open of the path would read nothing
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(b"t,value\n0,1\n1,2\n2,3\n3,5\n")
+
+        def per_row_reader(*args):
+            raise AssertionError("ingest ran its per-row reader")
+
+        monkeypatch.setattr(cli, "_row_series", per_row_reader)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on a stream without data
+                series = ingest(f"/dev/fd/{read_fd}", "csv")
+        finally:
+            os.close(read_fd)
+        assert series.samples.tolist() == [1.0, 2.0, 3.0, 5.0] and series.dt == 1.0
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.csv"
