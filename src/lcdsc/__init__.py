@@ -30,7 +30,6 @@ from .emd import (
     MonotonicComponent,
     TimeSeries,
     eemd,
-    emd,
     find_extrema,
     reconstruct,
     sift,

@@ -28,9 +28,9 @@ def keep_subset(d: Decomposition, indices) -> np.ndarray:
     if not all(1 <= j <= d.n_imfs for j in kept):
         raise ValueError("imf indices out of range")
     out = np.zeros(d.residual.size)
-    for j, imf in enumerate(d.imfs, start=1):
+    for j, row in enumerate(d.imfs, start=1):
         if j in kept:
-            out += imf.samples
+            out += row
     return out
 
 
@@ -82,9 +82,8 @@ def _subset_rss(d: Decomposition, truth: np.ndarray, subsets):
     squares are summed row by row, each row the same pairwise sum as
     ``rss`` takes.
     """
-    imfs = [imf.samples for imf in d.imfs]
     n = truth.size
-    stack = np.zeros((len(imfs) + 1, n))
+    stack = np.zeros((d.n_imfs + 1, n))
     diffs = np.empty((_RSS_BATCH, n))
     path: tuple[int, ...] = ()
     pending = []
@@ -93,7 +92,7 @@ def _subset_rss(d: Decomposition, truth: np.ndarray, subsets):
         while path[:shared] != s[:shared]:
             shared -= 1
         for k in range(shared, len(s)):
-            np.add(stack[k], imfs[s[k] - 1], out=stack[k + 1])
+            np.add(stack[k], d.imfs[s[k] - 1], out=stack[k + 1])
         path = s
         np.subtract(truth, stack[len(s)], out=diffs[len(pending)])
         pending.append(s)

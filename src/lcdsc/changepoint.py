@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import _as_1d_float, _frozen_copy, _integer
+from .emd import _as_1d_float, _frozen, _integer
 
 _PENALTY_KINDS = ("aic", "bic", "mbic")
 _BLOCK_CELLS = 1 << 16  # most (end, start) cells detection scores at once
@@ -63,7 +63,7 @@ class SegStats:
             var_floor = 1e-12 * (float(np.var(x)) + 1e-300)
         if not (math.isfinite(prefix_sumsq[-1]) and math.isfinite(var_floor)):
             raise OverflowError("series too large: its sum of squares or variance overflows")
-        return cls(_frozen_copy(prefix_sum), _frozen_copy(prefix_sumsq), var_floor)
+        return cls(_frozen(prefix_sum), _frozen(prefix_sumsq), var_floor)
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,12 @@ def detect_changepoints(
 
     mbic = penalty.kind == "mbic"
     per_change = _change_charge(penalty, 1, n) * penalty_scale
+    # n // msl is at least the most changes n samples admit; mbic's length
+    # terms total at most a third of this bound (3 log n per change against log n)
+    most = n // msl
+    if not math.isfinite(per_change * most):
+        raise OverflowError(f"{penalty.kind} penalty overflows: penalty_scale {penalty_scale:.3g} "
+                            f"times its charge for up to {most} changes is not a finite float")
 
     # admissible starts of a last segment ending at t are 0 and msl..t-msl,
     # the first max(1, t - 2*msl + 2) entries of this array; every per-start

@@ -39,6 +39,7 @@ from .emd import (
     Decomposition,
     EmdConfig,
     _as_1d_float,
+    _frozen,
     _integer,
     _zero_crossings,
     eemd,
@@ -154,8 +155,8 @@ def _detect_stage(
     analyses = []
     empty = ChangePointSet((), 0.0)
     for j, imf in enumerate(d.imfs, start=1):
-        amp = _frozen(instantaneous_amplitude(imf.samples))
-        stride, factor = _cycle_stride(imf.samples, n)
+        amp = _frozen(instantaneous_amplitude(imf))
+        stride, factor = _cycle_stride(imf, n)
         guarded = amp.copy()
         if n > 2 * stride:
             # hold the first and last period at interior values: the
@@ -180,12 +181,6 @@ def _detect_stage(
             )
         analyses.append(_ImfAnalysis(amp, full_view, segments))
     return tuple(analyses), tuple(diagnostics)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr``, which the stage has just created, made read-only in place."""
-    arr.setflags(write=False)
-    return arr
 
 
 def _sum_rows(rows: tuple[np.ndarray, ...], n: int) -> np.ndarray:
@@ -244,7 +239,7 @@ def _testing_stage(
         per_imf[decision.test.imf_index - 1].append(decision)
 
     cleaned_imfs = tuple(
-        _frozen(clean_imf(imf.samples, analysis.changepoints, decs))
+        _frozen(clean_imf(imf, analysis.changepoints, decs))
         for imf, analysis, decs in zip(d.imfs, analyses, per_imf)
     )
     cleaned = _sum_rows(cleaned_imfs, n)

@@ -300,7 +300,7 @@ def _matrix_csv(columns: list[tuple[str, np.ndarray]]) -> Iterator[str]:
 
 
 def _decomposition_columns(d: Decomposition) -> list[tuple[str, np.ndarray]]:
-    cols = [(f"imf{j}", imf.samples) for j, imf in enumerate(d.imfs, start=1)]
+    cols = [(f"imf{j}", imf) for j, imf in enumerate(d.imfs, start=1)]
     cols.append(("residual", d.residual))
     return cols
 
@@ -482,7 +482,7 @@ def _cmd_decompose(args) -> int:
     d = eemd(ingest(args.input, args.format), config)
     _atomic_write(os.path.join(args.out_dir, "imfs.csv"), _matrix_csv(_decomposition_columns(d)))
     if args.amplitudes:
-        cols = [(f"amp{j}", instantaneous_amplitude(imf.samples))
+        cols = [(f"amp{j}", instantaneous_amplitude(imf))
                 for j, imf in enumerate(d.imfs, start=1)]
         _atomic_write(os.path.join(args.out_dir, "amplitudes.csv"), _matrix_csv(cols))
     return 0

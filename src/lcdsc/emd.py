@@ -60,10 +60,14 @@ def _as_1d_float(values, name: str = "series") -> np.ndarray:
     return arr
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which its caller has just created, made read-only in place."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _frozen_copy(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
+    return _frozen(np.array(arr, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +96,7 @@ class TimeSeries:
 
 @dataclass(frozen=True, eq=False)
 class Imf:
-    """One intrinsic mode function.
+    """What ``sift`` returns: one intrinsic mode function, read-only.
 
     ``truncated`` marks components whose sifting hit the iteration cap
     before S-stoppage confirmed convergence.
@@ -101,38 +105,43 @@ class Imf:
     samples: np.ndarray
     truncated: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _frozen_copy(_as_1d_float(self.samples, "samples")))
-
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Ordered IMFs plus the residual of one source signal.
 
-    IMF ``j`` is ``imfs[j - 1]``, in extraction order (highest frequency
-    first).  Every IMF has the residual's length, the source length.
+    ``imfs`` is a read-only ``(n_imfs, n)`` copy of the given matrix or
+    equal-length rows: row ``j - 1`` is IMF ``j`` in extraction order
+    (highest frequency first), and ``n`` is the residual's length, the
+    source length.  ``truncated`` has one flag per row (default all False).
     """
 
-    imfs: tuple[Imf, ...]
+    imfs: np.ndarray
     residual: np.ndarray
     _: KW_ONLY
+    truncated: tuple[bool, ...] | None = None
     diagnostics: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "residual", _frozen_copy(_as_1d_float(self.residual, "residual")))
-        for imf in self.imfs:
-            if imf.samples.size != self.residual.size:
-                raise ValueError("imf length does not match the residual length")
+        n = self.residual.size
+        imfs = np.array(self.imfs, dtype=float) if len(self.imfs) else np.empty((0, n))
+        if imfs.ndim != 2 or imfs.shape[1] != n:
+            raise ValueError("imfs must be an (n_imfs, n) matrix for a residual of length n")
+        flags = (False,) * len(imfs) if self.truncated is None else self.truncated
+        truncated = tuple(map(bool, flags))
+        if len(truncated) != len(imfs):
+            raise ValueError("truncated needs one flag per imf")
+        object.__setattr__(self, "imfs", _frozen(imfs))
+        object.__setattr__(self, "truncated", truncated)
 
     @property
     def n_imfs(self) -> int:
         return len(self.imfs)
 
     def imf_matrix(self) -> np.ndarray:
-        """IMFs stacked as rows, shape ``(n_imfs, residual.size)``."""
-        if not self.imfs:
-            return np.zeros((0, self.residual.size))
-        return np.stack([imf.samples for imf in self.imfs])
+        """``imfs``, shape ``(n_imfs, residual.size)``."""
+        return self.imfs
 
 
 @dataclass(frozen=True)
@@ -355,7 +364,7 @@ def sift(series, config: EmdConfig | None = None) -> Imf:
             # nothing left to refine against; accept the component as-is
             truncated = False
             break
-    return Imf(samples=h, truncated=truncated)
+    return Imf(_frozen(h), truncated)
 
 
 def _checked_samples(series) -> np.ndarray:
@@ -386,7 +395,7 @@ def emd(series, config: EmdConfig | None = None) -> Decomposition:
 
     imfs: list[Imf] = []
     diagnostics: list[str] = []
-    remainder = x.copy()
+    remainder = x
     while len(imfs) < cap:
         try:
             imf = sift(remainder, config)
@@ -398,7 +407,8 @@ def emd(series, config: EmdConfig | None = None) -> Decomposition:
                 f"imf {len(imfs)}: sifting stopped at max_sift_iters={config.max_sift_iters}"
             )
         remainder = remainder - imf.samples
-    return Decomposition(tuple(imfs), remainder, diagnostics=tuple(diagnostics))
+    return Decomposition([imf.samples for imf in imfs], remainder,
+                         truncated=[imf.truncated for imf in imfs], diagnostics=tuple(diagnostics))
 
 
 def eemd(series, config: EmdConfig | None = None) -> Decomposition:
@@ -436,7 +446,7 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
 
     # per-index running sums in trial order: the same additions, in the same
     # order, as a mean over a zero-padded (trials, width, n) stack
-    sums: list[np.ndarray] = []
+    sums = np.zeros((0, x.size))
     truncated: list[bool] = []
     widths: list[int] = []
     truncations = 0
@@ -444,14 +454,14 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
         rng = np.random.default_rng([seed, k])
         noisy = x + rng.normal(0.0, scale, x.size)
         trial = emd(noisy, config)
-        widths.append(trial.n_imfs)
-        for j, imf in enumerate(trial.imfs):
-            if j == len(sums):
-                sums.append(np.zeros(x.size))
-                truncated.append(False)
-            sums[j] += imf.samples
-            truncated[j] = truncated[j] or imf.truncated
-            truncations += imf.truncated
+        w = trial.n_imfs
+        widths.append(w)
+        if w > len(sums):
+            sums = np.concatenate((sums, np.zeros((w - len(sums), x.size))))
+            truncated += [False] * (w - len(truncated))
+        sums[:w] += trial.imfs
+        truncated[:w] = [a or b for a, b in zip(truncated, trial.truncated)]
+        truncations += sum(trial.truncated)
 
     width = len(sums)
     diagnostics: list[str] = []
@@ -464,20 +474,14 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
     if truncations:
         diagnostics.append(f"{truncations} trial imfs hit max_sift_iters during sifting")
 
-    if width == 0:
-        return Decomposition((), x, diagnostics=tuple(diagnostics))
-
-    imfs = []
-    # subtract sequentially so a degenerate ensemble matches emd() bit for bit
-    residual = x.copy()
-    for j in range(width):
-        mean = sums[j] / config.ensemble_size
-        imfs.append(Imf(samples=mean, truncated=truncated[j]))
+    sums /= config.ensemble_size
+    # subtract row by row so a degenerate ensemble matches emd() bit for bit
+    residual = x
+    for mean in sums:
         residual = residual - mean
-    return Decomposition(tuple(imfs), residual, diagnostics=tuple(diagnostics))
+    return Decomposition(sums, residual, truncated=truncated, diagnostics=tuple(diagnostics))
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
     """Sum of all IMFs plus the residual, elementwise."""
-    return np.sum(d.imf_matrix(), axis=0) + d.residual
-
+    return np.sum(d.imfs, axis=0) + d.residual

@@ -62,7 +62,7 @@ def doppler(u):
     arrays.
     """
     arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails it
         raise ValueError("u must lie in [0, 1]")
     value = 7.0 * np.sqrt(arr * (1.0 - arr)) * np.sin(2.0 * np.pi * 1.05 / (arr + 0.05))
     return float(value) if np.isscalar(u) else value
@@ -264,8 +264,8 @@ def run_benchmark(
                     _, value = oracle_select(d, truth, method)
                 else:  # wht or wit
                     est = np.sum(
-                        [thresholds[method](imf.samples) for imf in d.imfs], axis=0
-                    ) if d.imfs else np.zeros(d.residual.size)
+                        [thresholds[method](imf) for imf in d.imfs], axis=0
+                    ) if d.n_imfs else np.zeros(d.residual.size)
                     value = rss(est, truth)
                 elapsed = time.perf_counter() - start
                 if method != "none":

@@ -23,7 +23,6 @@ from lcdsc import (
     Penalty,
     SegStats,
     detect_changepoints,
-    emd,
     f_cdf,
     gamma_sweep,
     lcdsc_clean,
@@ -35,6 +34,7 @@ from lcdsc import (
     separability_check,
 )
 from lcdsc.cli import main as cli_main
+from lcdsc.emd import emd
 
 ALL_METHODS = ["lcdsc", "khigh", "llow", "band", "powerset", "wht", "wit", "none"]
 

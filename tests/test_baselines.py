@@ -5,7 +5,6 @@ import pytest
 
 from lcdsc import (
     Decomposition,
-    Imf,
     keep_subset,
     noise_sigma,
     oracle_select,
@@ -19,7 +18,7 @@ from lcdsc.baselines import ORACLE_FAMILIES, _family_subsets
 
 def make_decomposition(rows):
     rows = [np.asarray(r, dtype=float) for r in rows]
-    return Decomposition(tuple(Imf(r) for r in rows), np.zeros(rows[0].size))
+    return Decomposition(rows, np.zeros(rows[0].size))
 
 
 @pytest.fixture()
@@ -39,7 +38,7 @@ class TestKeepSubset:
 
     def test_k_highest_keeps_last_indices(self, seven_imfs):
         got = keep_subset(seven_imfs, (6, 7))
-        want = seven_imfs.imfs[5].samples + seven_imfs.imfs[6].samples
+        want = seven_imfs.imfs[5] + seven_imfs.imfs[6]
         assert np.allclose(got, want)
         assert list(_family_subsets("khigh", 7))[2] == (6, 7)
 
@@ -55,7 +54,7 @@ class TestKeepSubset:
         rng = np.random.default_rng(1)
         other = make_decomposition([rng.normal(0, 1, 40) for _ in range(7)])
         summed = make_decomposition(
-            [a.samples + b.samples for a, b in zip(seven_imfs.imfs, other.imfs)]
+            [a + b for a, b in zip(seven_imfs.imfs, other.imfs)]
         )
         rule = (2, 3, 4, 5)
         lhs = keep_subset(summed, rule)
@@ -73,7 +72,7 @@ class TestKeepSubset:
 
 class TestOracleSelect:
     def test_singleton_truth_recovered_exactly(self, seven_imfs):
-        truth = seven_imfs.imfs[3].samples
+        truth = seven_imfs.imfs[3]
         rule, value = oracle_select(seven_imfs, truth, "powerset")
         assert value == 0.0
         assert rule == (4,)
@@ -110,7 +109,7 @@ class TestOracleSelect:
             oracle_select(d, np.zeros(8), "powerset")
 
     def test_non_finite_truth(self, seven_imfs):
-        truth = seven_imfs.imfs[1].samples.copy()
+        truth = seven_imfs.imfs[1].copy()
         truth[3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             oracle_select(seven_imfs, truth, "powerset")
@@ -162,7 +161,7 @@ class TestOracleMatchesPerSubsetSearch:
         for width in range(11):
             n = int(rng.integers(5, 300))
             rows = [rng.normal(0, 1, n) * 10.0 ** rng.uniform(-2, 2) for _ in range(width)]
-            d = Decomposition(tuple(Imf(r) for r in rows), rng.normal(0, 1, n))
+            d = Decomposition(rows, rng.normal(0, 1, n))
             self.check(d, rng.normal(0, 1, n) * float(width))
 
     def test_duplicated_imfs_force_ties(self):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,21 @@ class TestSegmentCost:
     def test_overflowing_sum_of_squares_is_named(self):
         with pytest.raises(OverflowError, match="sum of squares or variance overflows"):
             SegStats.from_series(np.full(10, 1e200))
+
+    def test_prefix_sums_are_frozen_not_copied(self):
+        n = 200000
+        x = np.random.default_rng(2).normal(0, 1, n)
+        SegStats.from_series(x[:10])
+        tracemalloc.start()
+        try:
+            stats = SegStats.from_series(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # both prefix sums and one temporary: copying the two sums made it 4 rows
+        assert peak < 3.5 * 8 * n, peak / (8 * n)
+        for arr in (stats.prefix_sum, stats.prefix_sumsq):
+            assert not arr.flags.writeable
 
     def test_unit_variance_pair(self):
         stats = SegStats.from_series([0.0, 2.0])
@@ -341,6 +357,23 @@ class TestDetect:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="penalty_scale"):
                 detect_changepoints(np.ones(30), Penalty("bic"), 10, penalty_scale=bad)
+
+    @pytest.mark.parametrize("penalty, scale", [
+        (Penalty("aic", 1e308), 2.0),
+        (Penalty("aic", 1e308), 1.0),
+        (Penalty("bic"), 1e308),
+        (Penalty("mbic"), 1e307),
+    ])
+    def test_overflowing_penalty_is_named(self, penalty, scale):
+        x = alternating_instance(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=f"{penalty.kind} penalty overflows"):
+                detect_changepoints(x, penalty, 5, scale)
+
+    def test_huge_finite_penalty_finds_no_changes(self):
+        x = alternating_instance(3)
+        assert detect_changepoints(x, Penalty("aic", 1e300), 5).taus == ()
 
     def test_segments_layout(self):
         x = alternating_instance(1)

@@ -9,7 +9,6 @@ from lcdsc import (
     ChangePointSet,
     Decomposition,
     EmdConfig,
-    Imf,
     LcdscConfig,
     LocalSignalSpec,
     SegmentDecision,
@@ -185,7 +184,7 @@ class TestCleanedSum:
         n = 1200
         rng = np.random.default_rng(width)
         rows = bursty_rows(rng, width, n)
-        d = Decomposition(tuple(Imf(row) for row in rows), rng.normal(size=n) * 0.1)
+        d = Decomposition(rows, rng.normal(size=n) * 0.1)
         config = LcdscConfig(include_residual=include_residual)
         report = clean_decomposition(d, config)
         assert len(report.cleaned_imfs) == width
@@ -198,7 +197,7 @@ class TestCleanedSum:
 
     def test_stage_arrays_are_read_only(self):
         rng = np.random.default_rng(5)
-        d = Decomposition(tuple(Imf(row) for row in bursty_rows(rng, 3, 1200)), np.zeros(1200))
+        d = Decomposition(bursty_rows(rng, 3, 1200), np.zeros(1200))
         for config in (LcdscConfig(), LcdscConfig(include_residual=True)):
             report = clean_decomposition(d, config)
             for arr in (report.cleaned_signal, *report.cleaned_imfs, *report.amplitudes):
@@ -277,7 +276,7 @@ class TestProperties:
             segments = cps.segments(n)
             assert [(d.test.seg_start, d.test.seg_end) for d in decisions] == segments
             for (lo, hi), d in zip(segments, decisions):
-                want = imf.samples[lo : hi + 1] if d.significant else np.zeros(hi - lo + 1)
+                want = imf[lo : hi + 1] if d.significant else np.zeros(hi - lo + 1)
                 assert np.array_equal(cleaned[lo : hi + 1], want)
 
 

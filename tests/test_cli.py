@@ -300,6 +300,10 @@ _HOSTILE_CONFIGS = {
     "huge-noise": (b"noise_amplitude = 1e308\n", 3),
     # passes eemd's noise-scale check, then overflows the change point prefix sums
     "noise-1e154": (b"noise_amplitude = 1e154\nensemble_size = 2\n", 3),
+    # change point penalties whose total over the most changes overflows
+    "aic-beta-1e308": (b"penalty = aic\nbeta = 1e308\nensemble_size = 2\n", 3),
+    "bic-scale-1e308": (b"penalty = bic\npenalty_scale = 1e308\nensemble_size = 2\n", 3),
+    "mbic-scale-1e307": (b"penalty_scale = 1e307\nensemble_size = 2\n", 3),
 }
 
 
@@ -339,6 +343,17 @@ class TestExitCodeContract:
     def test_config_file(self, tmp_path, capsys, name):
         config, want = _HOSTILE_CONFIGS[name]
         self.check(*self.run_clean(tmp_path, capsys, _csv_bytes(_SINE), config), want)
+
+    def test_overflowing_penalty_flag_is_a_numerical_failure(self, tmp_path, capsys):
+        path = tmp_path / "sine.csv"
+        path.write_bytes(_csv_bytes(_SINE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("clean", str(path), "--out-dir", str(tmp_path / "o"),
+                           "--ensemble-size", "2", "--penalty", "aic", "--beta", "1e308")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3 and len(err) == 1, err
+        assert err[0].startswith("lcdsc: numerical failure: aic penalty overflows"), err
 
 
 def _fmt_float(value: float) -> str:
@@ -521,8 +536,8 @@ class TestClean:
         assert header == [f"imf{j}" for j in numbers] + ["residual"]
         imfs, cleaned_imfs = load("imfs.csv"), load("cleaned_imfs.csv")
         for j in numbers:
-            assert np.array_equal(imfs[j - 1], d.imfs[j - 1].samples)
-            assert np.array_equal(keep_subset(d, (j,)), d.imfs[j - 1].samples)
+            assert np.array_equal(imfs[j - 1], d.imfs[j - 1])
+            assert np.array_equal(keep_subset(d, (j,)), d.imfs[j - 1])
         doc = json.loads((out / "report.json").read_text())
         assert [entry["imf"] for entry in doc["changepoints"]] == numbers
         assert [entry["taus"] for entry in doc["changepoints"]] == [
@@ -532,7 +547,7 @@ class TestClean:
         for seg in doc["segments"]:
             j, lo, hi = seg["imf"], seg["start"], seg["end"]
             assert (lo, hi) in report.changepoints[j - 1].segments(d.residual.size)
-            kept = d.imfs[j - 1].samples[lo : hi + 1] if seg["significant"] else np.zeros(hi + 1 - lo)
+            kept = d.imfs[j - 1][lo : hi + 1] if seg["significant"] else np.zeros(hi + 1 - lo)
             assert np.array_equal(cleaned_imfs[j - 1][lo : hi + 1], kept)
 
     def test_runs_ensemble_on_calling_thread(self, sim_dir, tmp_path, monkeypatch):

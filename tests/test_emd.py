@@ -1,4 +1,3 @@
-import importlib
 import tracemalloc
 import warnings
 
@@ -8,27 +7,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgtsv
 
+import lcdsc
+import lcdsc.emd as emd_module
 from lcdsc import (
     Decomposition,
     EmdConfig,
-    Imf,
     MonotonicComponent,
     TimeSeries,
     eemd,
-    emd,
     find_extrema,
     reconstruct,
     sift,
 )
-from lcdsc.emd import _envelope_from_extrema, _envelope_work, _zero_crossings
-
-emd_module = importlib.import_module("lcdsc.emd")  # the package re-exports a function of that name
+from lcdsc.emd import _envelope_from_extrema, _envelope_work, _zero_crossings, emd
 
 
 def bitwise_equal(a: Decomposition, b: Decomposition) -> bool:
     if a.n_imfs != b.n_imfs or not np.array_equal(a.residual, b.residual):
         return False
-    return all(np.array_equal(x.samples, y.samples) for x, y in zip(a.imfs, b.imfs))
+    return np.array_equal(a.imfs, b.imfs)
 
 
 def direct_extrema(x):
@@ -348,8 +345,8 @@ class TestEmd:
         slow = np.sin(2 * np.pi * t / 200)
         d = emd(fast + slow)
         assert d.n_imfs >= 2
-        assert np.corrcoef(d.imfs[0].samples, fast)[0, 1] > 0.95
-        assert np.corrcoef(d.imfs[1].samples, slow)[0, 1] > 0.95
+        assert np.corrcoef(d.imfs[0], fast)[0, 1] > 0.95
+        assert np.corrcoef(d.imfs[1], slow)[0, 1] > 0.95
 
     def test_two_tone_emd_nearly_orthogonal(self):
         t = np.arange(1000)
@@ -389,12 +386,12 @@ class TestEmd:
         rng = np.random.default_rng(11)
         x = rng.normal(0, 1, 512)
         d = emd(x)
-        for imf in d.imfs:
-            if imf.truncated:
+        for imf, truncated in zip(d.imfs, d.truncated):
+            if truncated:
                 continue
-            maxima, minima = find_extrema(imf.samples)
+            maxima, minima = find_extrema(imf)
             n_ext = maxima.size + minima.size
-            assert abs(n_ext - _zero_crossings(imf.samples)) <= 1
+            assert abs(n_ext - _zero_crossings(imf)) <= 1
 
     def test_residual_cannot_be_enveloped_after_exhaustion(self):
         # termination by extrema exhaustion leaves a residual with fewer
@@ -429,9 +426,8 @@ class TestEemd:
         d = eemd(noisy, EmdConfig(ensemble_size=4, seed=4))
         assert d.n_imfs >= 6
         # burst energy visible in several components
-        inside = [float(np.sum(imf.samples[1000:1501] ** 2)) for imf in d.imfs]
-        outside = [float(np.sum(imf.samples[:1000] ** 2) + np.sum(imf.samples[1501:] ** 2))
-                   for imf in d.imfs]
+        inside = [float(np.sum(imf[1000:1501] ** 2)) for imf in d.imfs]
+        outside = [float(np.sum(imf[:1000] ** 2) + np.sum(imf[1501:] ** 2)) for imf in d.imfs]
         hot = sum(1 for i, o in zip(inside, outside) if i > o)
         assert hot >= 3
 
@@ -495,16 +491,20 @@ def stacked_mean_eemd(x, cfg):
         trials.append(emd(TimeSeries(x + rng.normal(0.0, scale, x.size)), cfg))
     width = max(t.n_imfs for t in trials)
     stack = np.zeros((cfg.ensemble_size, width, x.size))
+    # the same sums row by row, in trial order, one trial's rows at a time
+    sums = [np.zeros(x.size) for _ in range(width)]
     for k, trial in enumerate(trials):
-        for j, imf in enumerate(trial.imfs):
-            stack[k, j] = imf.samples
+        for j in range(trial.n_imfs):
+            stack[k, j] = trial.imfs[j]
+            sums[j] += trial.imfs[j]
     mean = stack.mean(axis=0)
-    truncated = [any(t.n_imfs > j and t.imfs[j].truncated for t in trials) for j in range(width)]
+    assert mean.tobytes() == (np.array(sums) / cfg.ensemble_size).tobytes()
+    truncated = [any(t.n_imfs > j and t.truncated[j] for t in trials) for j in range(width)]
     residual = x.copy()
     for j in range(width):
         residual = residual - mean[j]
     short = sum(1 for t in trials if t.n_imfs < width)
-    truncations = sum(1 for t in trials for imf in t.imfs if imf.truncated)
+    truncations = sum(sum(t.truncated) for t in trials)
     return mean, truncated, residual, short, truncations
 
 
@@ -516,10 +516,9 @@ class TestStreamingEnsemble:
             cfg = EmdConfig(ensemble_size=7, max_sift_iters=iters, seed=seed)
             mean, truncated, residual, short, truncations = stacked_mean_eemd(x, cfg)
             d = eemd(x, cfg)
-            assert d.n_imfs == mean.shape[0]
-            for j, imf in enumerate(d.imfs):
-                assert imf.samples.tobytes() == mean[j].tobytes()
-                assert imf.truncated == truncated[j]
+            assert d.imfs.shape == mean.shape
+            assert d.imfs.tobytes() == mean.tobytes()
+            assert d.truncated == tuple(truncated)
             assert d.residual.tobytes() == residual.tobytes()
             want = []
             if short:
@@ -554,8 +553,64 @@ class TestReconstruct:
     def test_all_zero_imfs_gives_residual(self):
         residual = np.linspace(0, 1, 50)
         zeros = np.zeros(50)
-        d = Decomposition((Imf(zeros), Imf(zeros)), residual)
+        d = Decomposition((zeros, zeros), residual)
         assert np.array_equal(reconstruct(d), residual)
+
+
+class TestDecompositionRecord:
+    def test_accepts_a_matrix_equal_rows_and_no_rows(self):
+        rows = np.arange(12.0).reshape(3, 4)
+        for imfs in (rows, list(rows), tuple(rows.tolist())):
+            d = Decomposition(imfs, np.zeros(4), truncated=(True, False, True))
+            assert d.imfs.shape == (3, 4) and d.n_imfs == 3
+            assert d.imfs.tobytes() == rows.tobytes()
+            assert d.truncated == (True, False, True)
+        for imfs in ((), [], np.zeros((0, 4))):
+            d = Decomposition(imfs, np.ones(4))
+            assert d.imfs.shape == (0, 4) and d.n_imfs == 0 and d.truncated == ()
+            assert np.array_equal(reconstruct(d), np.ones(4))
+        assert Decomposition(rows, np.zeros(4)).truncated == (False,) * 3
+
+    def test_copies_once_and_is_read_only(self):
+        rows = np.arange(12.0).reshape(3, 4)
+        residual = np.zeros(4)
+        d = Decomposition(rows, residual)
+        rows[0, 0] = residual[0] = 99.0
+        assert d.imfs[0, 0] == 0.0 and d.residual[0] == 0.0
+        assert d.imf_matrix() is d.imfs
+        for arr in (d.imfs, d.imfs[1], d.residual):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # rows or matrix, the constructor holds one copy of them at a time
+        big, residual = np.ones((4, 50000)), np.zeros(50000)
+        for imfs in (big, list(big)):
+            tracemalloc.start()
+            try:
+                Decomposition(imfs, residual)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * big.nbytes + residual.nbytes
+
+    @pytest.mark.parametrize("imfs, truncated, match", [
+        ([np.zeros(4), np.zeros(3)], None, "imfs|inhomogeneous"),
+        (np.zeros((2, 5)), None, "imfs must be"),
+        (np.zeros(4), None, "imfs must be"),
+        (np.zeros((2, 2, 4)), None, "imfs must be"),
+        (np.zeros((2, 4)), (False,), "one flag per imf"),
+        (np.zeros((2, 4)), (False, True, False), "one flag per imf"),
+        ((), (True,), "one flag per imf"),
+    ])
+    def test_rejects_bad_shapes(self, imfs, truncated, match):
+        with pytest.raises(ValueError, match=match):
+            Decomposition(imfs, np.zeros(4), truncated=truncated)
+
+
+class TestPackageNames:
+    def test_lcdsc_emd_is_the_module(self):
+        assert lcdsc.emd is emd_module
+        assert emd_module.emd is emd and callable(emd_module.emd)
 
 
 class TestConfigValidation:

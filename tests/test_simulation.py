@@ -37,6 +37,11 @@ class TestDoppler:
         with pytest.raises(ValueError):
             doppler(1.2)
 
+    @pytest.mark.parametrize("u", [float("nan"), np.array([0.5, np.nan]), np.array([np.nan])])
+    def test_rejects_nan(self, u):
+        with pytest.raises(ValueError, match="u must lie in"):
+            doppler(u)
+
 
 class TestLocalDoppler:
     def test_noiseless_equals_truth(self):
