@@ -90,10 +90,10 @@ class CleaningReport:
     """Everything one cleaning run produced."""
 
     decomposition: Decomposition
-    amplitudes: tuple[np.ndarray, ...]
+    amplitudes: np.ndarray         # read-only (n_imfs, n); row j - 1 is IMF j's
     changepoints: tuple[ChangePointSet, ...]
     decisions: tuple[SegmentDecision, ...]
-    cleaned_imfs: tuple[np.ndarray, ...]
+    cleaned_imfs: np.ndarray       # read-only (n_imfs, n); row j - 1 is IMF j's
     cleaned_signal: np.ndarray
     significant_imfs: frozenset[int]
     config: LcdscConfig
@@ -104,7 +104,6 @@ class CleaningReport:
 class _ImfAnalysis:
     """Per-IMF detection state shared between the pipeline stages."""
 
-    amplitude: np.ndarray          # full-rate instantaneous amplitude
     changepoints: ChangePointSet   # full-rate change points
     # (full-rate start, end, per-cycle variance, effective count) per
     # segment; empty when the IMF has no change points
@@ -147,15 +146,16 @@ def _cycle_stride(imf_samples: np.ndarray, n: int) -> tuple[int, float]:
 
 def _detect_stage(
     d: Decomposition, config: LcdscConfig
-) -> tuple[tuple[_ImfAnalysis, ...], tuple[str, ...]]:
+) -> tuple[np.ndarray, tuple[_ImfAnalysis, ...], tuple[str, ...]]:
     """Per-IMF amplitudes, change points and segment tables (the gamma-independent work)."""
     n = d.residual.size
     msl = config.min_seg_len
     diagnostics = list(d.diagnostics)
     analyses = []
     empty = ChangePointSet((), 0.0)
-    for j, imf in enumerate(d.imfs, start=1):
-        amp = _frozen(instantaneous_amplitude(imf))
+    amplitudes = np.empty_like(d.imfs)
+    for j, (imf, amp) in enumerate(zip(d.imfs, amplitudes), start=1):
+        amp[:] = instantaneous_amplitude(imf)
         stride, factor = _cycle_stride(imf, n)
         guarded = amp.copy()
         if n > 2 * stride:
@@ -168,7 +168,7 @@ def _detect_stage(
             diagnostics.append(
                 f"imf {j}: amplitude too short to segment; component zeroed"
             )
-            analyses.append(_ImfAnalysis(amp, empty, ()))
+            analyses.append(_ImfAnalysis(empty, ()))
             continue
         cps = detect_changepoints(sampled, config.penalty, msl, config.penalty_scale)
         taus_full = tuple(int((tau + 1) * stride - 1) for tau in cps.taus)
@@ -179,21 +179,8 @@ def _detect_stage(
                 (lo, hi, sample_variance(sampled, a, b), _effective_count(b - a + 1, factor))
                 for (a, b), (lo, hi) in zip(cps.segments(sampled.size), full_view.segments(n))
             )
-        analyses.append(_ImfAnalysis(amp, full_view, segments))
-    return tuple(analyses), tuple(diagnostics)
-
-
-def _sum_rows(rows: tuple[np.ndarray, ...], n: int) -> np.ndarray:
-    """A fresh sum of ``rows``: zeros, then each row added in order.
-
-    For rows of two or more samples (every decomposition's) these are the
-    additions of ``np.sum(np.stack(rows), axis=0)`` in its order, from
-    +0.0 too, so the bits match without the stacked copy.
-    """
-    total = np.zeros(n)
-    for row in rows:
-        total += row
-    return total
+        analyses.append(_ImfAnalysis(full_view, segments))
+    return _frozen(amplitudes), tuple(analyses), tuple(diagnostics)
 
 
 def _effective_count(samples: int, factor: float) -> int:
@@ -202,12 +189,12 @@ def _effective_count(samples: int, factor: float) -> int:
 
 def _testing_stage(
     d: Decomposition,
+    amplitudes: np.ndarray,
     analyses: tuple[_ImfAnalysis, ...],
     diagnostics: tuple[str, ...],
     config: LcdscConfig,
 ) -> CleaningReport:
     """F-tests, Holm correction, zeroing, and report assembly for one gamma."""
-    n = d.residual.size
     tests = []
     for pos, analysis in enumerate(analyses):
         segs = analysis.segments
@@ -238,20 +225,20 @@ def _testing_stage(
     for decision in decisions:
         per_imf[decision.test.imf_index - 1].append(decision)
 
-    cleaned_imfs = tuple(
-        _frozen(clean_imf(imf, analysis.changepoints, decs))
-        for imf, analysis, decs in zip(d.imfs, analyses, per_imf)
-    )
-    cleaned = _sum_rows(cleaned_imfs, n)
+    cleaned_imfs = np.zeros_like(d.imfs)
+    for row, imf, analysis, decs in zip(cleaned_imfs, d.imfs, analyses, per_imf):
+        row[:] = clean_imf(imf, analysis.changepoints, decs)
+    # rows are added in order from +0.0: the bits of np.sum over a stacked copy
+    cleaned = cleaned_imfs.sum(axis=0)
     if config.include_residual:
         cleaned += d.residual
     eta = frozenset(dec.test.imf_index for dec in decisions if dec.significant)
     return CleaningReport(
         decomposition=d,
-        amplitudes=tuple(a.amplitude for a in analyses),
+        amplitudes=amplitudes,
         changepoints=tuple(a.changepoints for a in analyses),
         decisions=decisions,
-        cleaned_imfs=cleaned_imfs,
+        cleaned_imfs=_frozen(cleaned_imfs),
         cleaned_signal=_frozen(cleaned),
         significant_imfs=eta,
         config=config,
@@ -262,8 +249,7 @@ def _testing_stage(
 def clean_decomposition(d: Decomposition, config: LcdscConfig | None = None) -> CleaningReport:
     """Run the cleaning stages on an existing decomposition."""
     config = config or LcdscConfig()
-    analyses, diagnostics = _detect_stage(d, config)
-    return _testing_stage(d, analyses, diagnostics, config)
+    return _testing_stage(d, *_detect_stage(d, config), config)
 
 
 def lcdsc_clean(series, config: LcdscConfig | None = None, workers: int = 1) -> CleaningReport:
@@ -299,5 +285,5 @@ def gamma_sweep(series, gammas, config: LcdscConfig | None = None) -> list[Clean
     if not configs:
         raise ValueError("gammas must be nonempty")
     d = eemd(series, config.emd)
-    analyses, diagnostics = _detect_stage(d, config)
-    return [_testing_stage(d, analyses, diagnostics, c) for c in configs]
+    detected = _detect_stage(d, config)
+    return [_testing_stage(d, *detected, c) for c in configs]

@@ -263,9 +263,11 @@ def run_benchmark(
                 elif method in ORACLE_FAMILIES:
                     _, value = oracle_select(d, truth, method)
                 else:  # wht or wit
-                    est = np.sum(
-                        [thresholds[method](imf) for imf in d.imfs], axis=0
-                    ) if d.n_imfs else np.zeros(d.residual.size)
+                    est = np.empty_like(d.imfs)
+                    for j, imf in enumerate(d.imfs):
+                        est[j] = thresholds[method](imf)
+                    # rebound, so the matrix is not held through the next eemd
+                    est = est.sum(axis=0)
                     value = rss(est, truth)
                 elapsed = time.perf_counter() - start
                 if method != "none":

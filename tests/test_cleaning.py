@@ -21,7 +21,6 @@ from lcdsc import (
     local_doppler,
     run_benchmark,
 )
-from lcdsc.cleaning import _sum_rows
 
 FAST_EMD = EmdConfig(ensemble_size=6, seed=0)
 
@@ -150,7 +149,7 @@ class TestPipeline:
 
 def stack_sum(rows, n):
     """The reference for the cleaned signal: ``np.sum`` over a stacked copy."""
-    return np.sum(np.stack(rows), axis=0) if rows else np.zeros(n)
+    return np.sum(np.stack(rows), axis=0) if len(rows) else np.zeros(n)
 
 
 def bursty_rows(rng, width, n):
@@ -168,15 +167,6 @@ def bursty_rows(rng, width, n):
 
 class TestCleanedSum:
     """The cleaned signal adds the cleaned IMFs in order, without a stacked copy."""
-
-    def test_in_order_sum_matches_stack_sum(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            width, n = int(rng.integers(0, 12)), int(rng.integers(2, 300))
-            rows = tuple(rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n) *
-                         (rng.random(n) > 0.2) * rng.choice([-1.0, 1.0], n)
-                         for _ in range(width))
-            assert _sum_rows(rows, n).tobytes() == stack_sum(rows, n).tobytes()
 
     @pytest.mark.parametrize("width", [0, 1, 2, 6])
     @pytest.mark.parametrize("include_residual", [False, True])
@@ -204,6 +194,40 @@ class TestCleanedSum:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 1.0
+
+
+class TestReportMatrices:
+    """Amplitudes and cleaned IMFs are read-only (n_imfs, n) matrices, row j - 1 for IMF j."""
+
+    @staticmethod
+    def cleaned(width):
+        d = Decomposition(bursty_rows(np.random.default_rng(width), width, 1200), np.zeros(1200))
+        return d, clean_decomposition(d)
+
+    @pytest.mark.parametrize("width", [0, 1, 6])
+    def test_read_only_float_matrices(self, width):
+        _, report = self.cleaned(width)
+        for matrix in (report.amplitudes, report.cleaned_imfs):
+            assert isinstance(matrix, np.ndarray)
+            assert matrix.dtype == np.float64 and matrix.shape == (width, 1200)
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[...] = 1.0
+
+    @pytest.mark.parametrize("width", [0, 1, 6])
+    def test_rows_are_clean_imf_of_each_imf(self, width):
+        d, report = self.cleaned(width)
+        want = np.zeros((width, 1200))
+        for j in range(1, width + 1):
+            decisions = [dec for dec in report.decisions if dec.test.imf_index == j]
+            want[j - 1] = clean_imf(d.imfs[j - 1], report.changepoints[j - 1], decisions)
+        assert report.cleaned_imfs.tobytes() == want.tobytes()
+
+    def test_gamma_sweep_shares_one_amplitude_matrix(self):
+        noisy, _, _ = local_doppler(LocalSignalSpec(600, 240, 360, 0.2, seed=3))
+        reports = gamma_sweep(noisy, [1.0, 2.0, 4.0], LcdscConfig(emd=FAST_EMD))
+        assert all(r.amplitudes is reports[0].amplitudes for r in reports)
+        assert reports[0].amplitudes.shape == (reports[0].decomposition.n_imfs, 600)
 
 
 class TestGammaSweep:

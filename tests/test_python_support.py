@@ -1,4 +1,4 @@
-"""The package keeps to the oldest Python that ``pyproject.toml`` declares."""
+"""The package and its tests keep to the oldest Python that ``pyproject.toml`` declares."""
 
 import ast
 import importlib
@@ -11,16 +11,20 @@ import pytest
 import lcdsc
 
 _PACKAGE = Path(lcdsc.__file__).parent
+_ROOT = _PACKAGE.parents[1]
 
 
 def _oldest() -> tuple[int, int]:
-    text = (_PACKAGE.parents[1] / "pyproject.toml").read_text()
+    text = (_ROOT / "pyproject.toml").read_text()
     major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', text).groups()
     return int(major), int(minor)
 
 
 def test_sources_parse_under_the_oldest_grammar():
-    for path in sorted(_PACKAGE.glob("*.py")):
+    # the tests, and the benchmark modules the contract test loads, run on it too
+    paths = [*_PACKAGE.glob("*.py"), *_ROOT.glob("tests/*.py"), *_ROOT.glob("perfbench/*.py")]
+    assert any(p.parent.name == "perfbench" for p in paths)
+    for path in sorted(paths):
         ast.parse(path.read_text(), filename=str(path), feature_version=_oldest())
 
 
