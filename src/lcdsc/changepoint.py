@@ -16,7 +16,7 @@ smallest change-point vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,18 +134,13 @@ def penalty_value(penalty: Penalty, seg_lengths) -> float:
     return charge
 
 
-def _objective(
-    stats: SegStats, taus: tuple[int, ...], penalty: Penalty, penalty_scale: float = 1.0
-) -> float:
-    """Canonical objective: left-to-right segment costs plus the penalty."""
-    n = stats.prefix_sum.size - 1
-    starts = [0] + [tau + 1 for tau in taus]
-    ends = list(taus) + [n - 1]
+def _objective(stats: SegStats, segments, penalty: Penalty, penalty_scale: float) -> float:
+    """Canonical objective: the inclusive ``(start, end)`` segments' costs,
+    added left to right, plus the penalty."""
     total = 0.0
-    for i, j in zip(starts, ends):
+    for i, j in segments:
         total += segment_cost(stats, i, j)
-    lengths = [j - i + 1 for i, j in zip(starts, ends)]
-    return total + penalty_scale * penalty_value(penalty, lengths)
+    return total + penalty_scale * penalty_value(penalty, [j - i + 1 for i, j in segments])
 
 
 def _taus_ending_at(prev: np.ndarray, s: int) -> tuple[int, ...]:
@@ -293,5 +288,5 @@ def detect_changepoints(
         prev[t0 : t1 + 1] = all_starts[best_pos]
         t0 = t1 + 1
 
-    taus = _taus_ending_at(prev, int(prev[n]))
-    return ChangePointSet(taus, _objective(stats, taus, penalty, penalty_scale))
+    found = ChangePointSet(_taus_ending_at(prev, int(prev[n])), math.nan)
+    return replace(found, total_cost=_objective(stats, found.segments(n), penalty, penalty_scale))

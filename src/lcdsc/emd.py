@@ -377,7 +377,10 @@ def _checked_samples(series) -> np.ndarray:
     return x
 
 
-def _auto_max_imfs(n: int) -> int:
+def _imf_cap(config: EmdConfig, n: int) -> int:
+    """``config.max_imfs``, or ``floor(log2(n)) - 1`` (at least 1) when it is ``None``."""
+    if config.max_imfs is not None:
+        return config.max_imfs
     return max(1, int(math.floor(math.log2(n))) - 1)
 
 
@@ -391,7 +394,7 @@ def emd(series, config: EmdConfig | None = None) -> Decomposition:
     """
     config = config or EmdConfig()
     x = _checked_samples(series)
-    cap = config.max_imfs if config.max_imfs is not None else _auto_max_imfs(x.size)
+    cap = _imf_cap(config, x.size)
 
     imfs: list[Imf] = []
     diagnostics: list[str] = []
@@ -429,8 +432,10 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
 
     Trials run in order on the calling thread and are added into
     per-index running sums as they finish, so the mean matches averaging
-    a zero-padded (trials, width, n) stack bit for bit, and memory is
-    O(width * n) for any ``ensemble_size``.
+    a zero-padded (trials, width, n) stack bit for bit.  The sums hold a
+    row per IMF the cap allows (address space for ``cap * n`` floats) and
+    are sliced to the widest trial, so memory in use is O(width * n) for
+    any ``ensemble_size``.
     """
     config = config or EmdConfig()
     x = _checked_samples(series)
@@ -445,9 +450,11 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
     seed = _seed_bits(config.seed)
 
     # per-index running sums in trial order: the same additions, in the same
-    # order, as a mean over a zero-padded (trials, width, n) stack
-    sums = np.zeros((0, x.size))
-    truncated: list[bool] = []
+    # order, as a mean over a zero-padded (trials, width, n) stack; every
+    # trial has x.size samples, so none is wider than the cap
+    cap = _imf_cap(config, x.size)
+    sums = np.zeros((cap, x.size))
+    truncated = np.zeros(cap, dtype=bool)
     widths: list[int] = []
     truncations = 0
     for k in range(config.ensemble_size):
@@ -456,14 +463,12 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
         trial = emd(noisy, config)
         w = trial.n_imfs
         widths.append(w)
-        if w > len(sums):
-            sums = np.concatenate((sums, np.zeros((w - len(sums), x.size))))
-            truncated += [False] * (w - len(truncated))
         sums[:w] += trial.imfs
         truncated[:w] = [a or b for a, b in zip(truncated, trial.truncated)]
         truncations += sum(trial.truncated)
 
-    width = len(sums)
+    width = max(widths)
+    sums, truncated = sums[:width], truncated[:width]
     diagnostics: list[str] = []
     short = sum(1 for w in widths if w < width)
     if short:

@@ -169,18 +169,14 @@ def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
     Walks the ascending p-values, rejecting while ``p_(i) < alpha/(K-i+1)``
     and stopping at the first failure.  Ties keep their input order
     (stable sort), so callers should present tests in a deterministic
-    order.
+    order.  The ranks and thresholds are those of ``holm_thresholds``.
     """
     ps = _checked_p_values(p_values, alpha)
-    k = len(ps)
-    flags = [False] * k
-    order = sorted(range(k), key=lambda i: ps[i])
-    for rank, idx in enumerate(order):
-        if ps[idx] < alpha / (k - rank):
-            flags[idx] = True
-        else:
-            break
-    return flags
+    thresholds = holm_thresholds(ps, alpha)
+    # the walk visits (p, input index) pairs in ascending order; it rejects
+    # every pair before the first that fails its threshold
+    stop = min(((p, i) for i, p in enumerate(ps) if not p < thresholds[i]), default=(math.inf, 0))
+    return [(p, i) < stop for i, p in enumerate(ps)]
 
 
 def holm_thresholds(p_values, alpha: float = 0.05) -> list[float]:

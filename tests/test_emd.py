@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -396,12 +397,12 @@ class TestEmd:
     def test_residual_cannot_be_enveloped_after_exhaustion(self):
         # termination by extrema exhaustion leaves a residual with fewer
         # than two maxima or fewer than two minima (nothing left to sift)
-        from lcdsc.emd import _auto_max_imfs
+        from lcdsc.emd import _imf_cap
 
         for seed in range(8):
             x = np.random.default_rng(seed).normal(0, 1, 300)
             d = emd(x)
-            assert d.n_imfs < _auto_max_imfs(300)  # stopped by exhaustion, not the cap
+            assert d.n_imfs < _imf_cap(EmdConfig(), 300)  # stopped by exhaustion, not the cap
             maxima, minima = find_extrema(d.residual)
             assert maxima.size < 2 or minima.size < 2
 
@@ -430,6 +431,30 @@ class TestEemd:
         outside = [float(np.sum(imf[:1000] ** 2) + np.sum(imf[1501:] ** 2)) for imf in d.imfs]
         hot = sum(1 for i, o in zip(inside, outside) if i > o)
         assert hot >= 3
+
+    @pytest.mark.parametrize("max_imfs", [None, 3, 40])
+    def test_mean_of_the_zero_padded_trial_stack(self, max_imfs):
+        # trials of unequal width, some truncated; the automatic cap (6 imfs
+        # at 200 samples) and 40 lie above the widest trial, 3 below it
+        x = np.random.default_rng(1).normal(0, 1, 200)
+        cfg = EmdConfig(ensemble_size=6, seed=1, max_imfs=max_imfs, max_sift_iters=4)
+        scale = cfg.noise_amplitude * float(np.std(x))
+        trials = [emd(x + np.random.default_rng([1, k]).normal(0.0, scale, x.size), cfg)
+                  for k in range(6)]
+        width = max(t.n_imfs for t in trials)
+        stack = np.zeros((6, width, x.size))
+        flags = np.zeros(width, dtype=bool)
+        for layer, t in zip(stack, trials):
+            layer[: t.n_imfs] = t.imfs
+            flags[: t.n_imfs] |= np.array(t.truncated, dtype=bool)
+        d = eemd(x, cfg)
+        assert d.imfs.tobytes() == np.mean(stack, axis=0).tobytes()
+        assert d.truncated == tuple(flags.tolist()) and any(d.truncated)
+        short = sum(t.n_imfs < width for t in trials)
+        if max_imfs is None:
+            assert short and d.diagnostics[0].startswith(f"{short} of 6 trials produced fewer than")
+        if max_imfs == 40:
+            assert bitwise_equal(d, eemd(x, replace(cfg, max_imfs=None)))
 
     def test_closure_identity(self):
         rng = np.random.default_rng(5)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -41,6 +41,31 @@ def f_cdf_quadrature(x, df1, df2):
 DF = st.integers(1, 10**6)
 P_VALUES = st.lists(st.floats(0.0, 1.0), max_size=30)
 ALPHAS = st.floats(0.001, 0.999)
+
+
+def holm_walk(ps, alpha):
+    """Reference Holm: walk the p-values in stable ascending order and
+    reject until the first one that fails ``alpha / (K - rank)``."""
+    k = len(ps)
+    flags = [False] * k
+    for rank, idx in enumerate(sorted(range(k), key=ps.__getitem__)):
+        if not ps[idx] < alpha / (k - rank):
+            break
+        flags[idx] = True
+    return flags
+
+
+@st.composite
+def holm_cases(draw):
+    """(p-values, alpha) with ties, p-values on and next to the thresholds,
+    and alpha down to the smallest subnormal, where thresholds round to ties."""
+    alpha = draw(st.one_of(st.floats(1e-300, 0.999999), st.floats(5e-324, 1e-300)))
+    k = draw(st.integers(0, 12))
+    on = [alpha / m for m in range(1, k + 1)]
+    near = on + [math.nextafter(t, 2.0) for t in on] + [math.nextafter(t, -1.0) for t in on]
+    pool = [0.0, 1.0] + [min(max(v, 0.0), 1.0) for v in near]
+    p = st.one_of(st.floats(0.0, 1.0), st.sampled_from(pool))
+    return draw(st.lists(p, min_size=k, max_size=k)), alpha
 
 
 class TestSampleVariance:
@@ -231,6 +256,14 @@ class TestHolm:
         flags = holm_bonferroni(ps, alpha)
         thresholds = holm_thresholds(ps, alpha)
         assert all(p < t for p, t, f in zip(ps, thresholds, flags) if f)
+
+    @settings(deadline=None, max_examples=500)
+    @given(holm_cases())
+    @example(([0.0, 0.0, 5e-324, 0.5, 0.5], 1.5e-323))  # three thresholds round to 5e-324
+    @example(([0.01, 0.01, 0.02, 0.0125], 0.05))  # tied p-values, one on its threshold
+    def test_property_equals_the_step_down_walk(self, case):
+        ps, alpha = case
+        assert holm_bonferroni(ps, alpha) == holm_walk(ps, alpha)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
