@@ -245,13 +245,10 @@ def detect_changepoints(
     # Ends are scored in blocks of at most msl rows, as one (ends x starts)
     # array: the last start that end t admits is t - msl, so every start a
     # block reads ends before the block does and has its final f_start.
-    # The first block, ends msl..2*msl-1, admits start 0 alone.
+    # The first block's ends, all below 2*msl, admit start 0 alone.
     t0 = msl
     while t0 <= n:
-        if t0 == msl:
-            height = msl
-        else:
-            height = min(msl, n - t0 + 1, max(1, _BLOCK_CELLS // (t0 - msl + 1)))
+        height = min(msl, n - t0 + 1, max(1, _BLOCK_CELLS // (t0 - msl + 1)))
         t1 = t0 + height - 1
         n_cols = max(1, t1 - 2 * msl + 2)  # the starts the block's last end admits
         cells = height * n_cols

@@ -18,9 +18,9 @@ equal neighbouring samples or an exact zero, so the common path finds
 extrema and zero crossings without the flat-run and zero bookkeeping,
 which runs only for inputs with such ties and gives the same indices.
 
-The ensemble keeps one running sum per IMF index instead of every
-trial's IMFs, so its memory is O(width * n) for ``width`` IMFs of length
-``n``, whatever the ensemble size.
+The ensemble keeps one running sum per IMF index that some trial
+reached instead of every trial's IMFs, so its memory is O(width * n) for
+``width`` IMFs of length ``n``, whatever the ensemble size and IMF cap.
 """
 
 from __future__ import annotations
@@ -432,10 +432,10 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
 
     Trials run in order on the calling thread and are added into
     per-index running sums as they finish, so the mean matches averaging
-    a zero-padded (trials, width, n) stack bit for bit.  The sums hold a
-    row per IMF the cap allows (address space for ``cap * n`` floats) and
-    are sliced to the widest trial, so memory in use is O(width * n) for
-    any ``ensemble_size``.
+    a zero-padded (trials, width, n) stack bit for bit.  A sum is kept
+    only for the IMF indices some trial reached, so memory is
+    O(width * n) for the widest trial's ``width`` IMFs, whatever
+    ``ensemble_size`` and ``max_imfs``.
     """
     config = config or EmdConfig()
     x = _checked_samples(series)
@@ -450,25 +450,24 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
     seed = _seed_bits(config.seed)
 
     # per-index running sums in trial order: the same additions, in the same
-    # order, as a mean over a zero-padded (trials, width, n) stack; every
-    # trial has x.size samples, so none is wider than the cap
-    cap = _imf_cap(config, x.size)
-    sums = np.zeros((cap, x.size))
-    truncated = np.zeros(cap, dtype=bool)
+    # order, as a mean over a zero-padded (trials, width, n) stack; a row
+    # starts at zero when the first trial reaches its index
+    sums: list[np.ndarray] = []
+    capped: list[int] = []  # trials whose sift at this index hit max_sift_iters
     widths: list[int] = []
-    truncations = 0
     for k in range(config.ensemble_size):
         rng = np.random.default_rng([seed, k])
         noisy = x + rng.normal(0.0, scale, x.size)
         trial = emd(noisy, config)
-        w = trial.n_imfs
-        widths.append(w)
-        sums[:w] += trial.imfs
-        truncated[:w] = [a or b for a, b in zip(truncated, trial.truncated)]
-        truncations += sum(trial.truncated)
+        for j, (imf, flag) in enumerate(zip(trial.imfs, trial.truncated)):
+            if j == len(sums):
+                sums.append(np.zeros(x.size))
+                capped.append(0)
+            sums[j] += imf
+            capped[j] += flag
+        widths.append(trial.n_imfs)
 
-    width = max(widths)
-    sums, truncated = sums[:width], truncated[:width]
+    width = len(sums)
     diagnostics: list[str] = []
     short = sum(1 for w in widths if w < width)
     if short:
@@ -476,15 +475,16 @@ def eemd(series, config: EmdConfig | None = None) -> Decomposition:
             f"{short} of {config.ensemble_size} trials produced fewer than "
             f"{width} imfs; missing entries averaged as zeros"
         )
-    if truncations:
-        diagnostics.append(f"{truncations} trial imfs hit max_sift_iters during sifting")
+    if sum(capped):
+        diagnostics.append(f"{sum(capped)} trial imfs hit max_sift_iters during sifting")
 
-    sums /= config.ensemble_size
     # subtract row by row so a degenerate ensemble matches emd() bit for bit
     residual = x
     for mean in sums:
+        mean /= config.ensemble_size
         residual = residual - mean
-    return Decomposition(sums, residual, truncated=truncated, diagnostics=tuple(diagnostics))
+    return Decomposition(sums, residual, truncated=[c > 0 for c in capped],
+                         diagnostics=tuple(diagnostics))
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:

@@ -344,6 +344,28 @@ class TestExitCodeContract:
         config, want = _HOSTILE_CONFIGS[name]
         self.check(*self.run_clean(tmp_path, capsys, _csv_bytes(_SINE), config), want)
 
+    @pytest.mark.parametrize("flags, want", [
+        ("--max-imfs 1000000000", 0),
+        ("--noise-amplitude 1e300", 3),
+        ("--penalty-scale 1e308", 3),
+        ("--penalty aic --beta 1e308", 3),
+        ("--minseg 1000000000", 0),
+        ("--s-number 1000000000", 0),
+        ("--alpha 1e-320", 0),
+        ("--gamma 1e308", 0),
+        ("--ensemble-size 0", 1),
+    ])
+    def test_extreme_setting(self, sim_dir, tmp_path, capsys, flags, want):
+        args = ("clean", str(sim_dir / "noisy.csv"), "--ensemble-size", "2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*args, *flags.split(), "--out-dir", str(tmp_path / "o"))
+        self.check(code, capsys.readouterr().err.splitlines(), want)
+        if flags.startswith("--max-imfs"):
+            # a cap above every trial's width decomposes as the automatic one does
+            assert run_cli(*args, "--max-imfs", "40", "--out-dir", str(tmp_path / "ref")) == 0
+            assert read(tmp_path / "o" / "imfs.csv") == read(tmp_path / "ref" / "imfs.csv")
+
     def test_overflowing_penalty_flag_is_a_numerical_failure(self, tmp_path, capsys):
         path = tmp_path / "sine.csv"
         path.write_bytes(_csv_bytes(_SINE))

@@ -432,10 +432,11 @@ class TestEemd:
         hot = sum(1 for i, o in zip(inside, outside) if i > o)
         assert hot >= 3
 
-    @pytest.mark.parametrize("max_imfs", [None, 3, 40])
+    @pytest.mark.parametrize("max_imfs", [None, 3, 40, 10**9])
     def test_mean_of_the_zero_padded_trial_stack(self, max_imfs):
         # trials of unequal width, some truncated; the automatic cap (6 imfs
-        # at 200 samples) and 40 lie above the widest trial, 3 below it
+        # at 200 samples), 40 and 10**9 lie above the widest trial, 3 below
+        # it; 10**9 rows of 200 samples would not fit in memory
         x = np.random.default_rng(1).normal(0, 1, 200)
         cfg = EmdConfig(ensemble_size=6, seed=1, max_imfs=max_imfs, max_sift_iters=4)
         scale = cfg.noise_amplitude * float(np.std(x))
@@ -453,7 +454,7 @@ class TestEemd:
         short = sum(t.n_imfs < width for t in trials)
         if max_imfs is None:
             assert short and d.diagnostics[0].startswith(f"{short} of 6 trials produced fewer than")
-        if max_imfs == 40:
+        if max_imfs in (40, 10**9):
             assert bitwise_equal(d, eemd(x, replace(cfg, max_imfs=None)))
 
     def test_closure_identity(self):
@@ -557,21 +558,27 @@ class TestStreamingEnsemble:
         # the cases cover short trials and both truncation flags
         assert seen["short"] > 0 and seen["truncated"] == {False, True}
 
-    def test_memory_does_not_grow_with_ensemble_size(self):
+    @staticmethod
+    def eemd_peak(**settings) -> int:
+        """Traced peak of ``eemd`` on a 2500-sample recording."""
         from lcdsc import LocalSignalSpec, local_doppler
 
         noisy, _, _ = local_doppler(LocalSignalSpec(2500, 1000, 1500, 0.2, seed=3))
+        eemd(noisy, EmdConfig(ensemble_size=1, seed=3))  # warm caches outside the window
+        tracemalloc.start()
+        try:
+            eemd(noisy, EmdConfig(seed=3, **settings))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        def peak(size):
-            eemd(noisy, EmdConfig(ensemble_size=1, seed=3))  # warm caches outside the window
-            tracemalloc.start()
-            try:
-                eemd(noisy, EmdConfig(ensemble_size=size, seed=3))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_memory_does_not_grow_with_ensemble_size(self):
+        assert self.eemd_peak(ensemble_size=100) < 2 * self.eemd_peak(ensemble_size=4)
 
-        assert peak(100) < 2 * peak(4)
+    def test_memory_does_not_grow_with_the_imf_cap(self):
+        # a cap far above the widest trial reserves nothing for the indices no trial reaches
+        capped = self.eemd_peak(ensemble_size=2, max_imfs=10**5)
+        assert capped < 2 * self.eemd_peak(ensemble_size=2), capped
 
 
 class TestReconstruct:
