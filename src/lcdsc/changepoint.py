@@ -153,6 +153,14 @@ def _taus_ending_at(prev: np.ndarray, s: int) -> tuple[int, ...]:
     return tuple(reversed(taus))
 
 
+def _by_length(table: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Read-only ``(n + 1, m)`` view of the ``n + m`` entries of ``table``: row
+    ``t``, column ``s`` is ``table[n - (t - s)]``, the entry for length ``t - s``."""
+    return np.lib.stride_tricks.as_strided(
+        table[n:], shape=(n + 1, m), strides=(-table.itemsize, table.itemsize), writeable=False
+    )
+
+
 def detect_changepoints(
     series, penalty: Penalty, min_seg_len: int = 10, penalty_scale: float = 1.0
 ) -> ChangePointSet:
@@ -162,12 +170,15 @@ def detect_changepoints(
     the last segment is scanned, so the work is O(n^2) in the series
     length ``n`` whether or not the series has changes.  Ends are scored
     in blocks of at most ``min_seg_len`` rows, one (ends x starts) array
-    per block.  A segment is at least ``min_seg_len`` long, so every
-    start a block reads was settled by an earlier block, and the blocks
-    give the same values as scoring one end at a time.  A block holds at
-    most ``_BLOCK_CELLS`` cells (one row when the starts alone exceed
-    that), so memory is O(n) plus a fixed budget whatever
-    ``min_seg_len`` is.
+    per block whose column ``s`` is start ``s``.  A segment is at least
+    ``min_seg_len`` long, so every start a block reads was settled by an
+    earlier block, and the blocks give the same values as scoring one
+    end at a time.  Inadmissible cells cost +inf: a first segment
+    shorter than ``min_seg_len`` through the best value of its prefix,
+    which is +inf, and a last one through a variance floor of +inf for
+    its length.  A block holds at most ``_BLOCK_CELLS`` cells (one row
+    when the starts alone exceed that), so memory is O(n) plus a fixed
+    budget whatever ``min_seg_len`` is.
 
     Exact up to rounding ties: the recursion adds costs in another order
     than ``total_cost`` sums them, so of two splits whose costs tie to
@@ -199,7 +210,6 @@ def detect_changepoints(
     stats = SegStats.from_series(x)
     ps = np.asarray(stats.prefix_sum)
     pq = np.asarray(stats.prefix_sumsq)
-    floor = stats.var_floor
     msl = min_seg_len
 
     mbic = penalty.kind == "mbic"
@@ -211,65 +221,47 @@ def detect_changepoints(
         raise OverflowError(f"{penalty.kind} penalty overflows: penalty_scale {penalty_scale:.3g} "
                             f"times its charge for up to {most} changes is not a finite float")
 
-    # admissible starts of a last segment ending at t are 0 and msl..t-msl,
-    # the first max(1, t - 2*msl + 2) entries of this array; every per-start
-    # quantity below is laid out the same way, so a block reads prefix views
-    all_starts = np.concatenate(([0], np.arange(msl, n - msl + 1))).astype(np.intp)
-    m = all_starts.size
-    start_f = all_starts.astype(float)
-    ps_start = ps[all_starts]
-    pq_start = pq[all_starts]
-    f_start = np.empty(m)  # best value of [0, s) at each start s
+    # a last segment ending at t starts at 0 or msl..t-msl, so starts run up to
+    # m - 1; by-length tables list lengths n down to msl, then shorter ones
+    m = n - msl + 1
+    f_start = np.full(n + 1, math.inf)  # best value of [0, t), +inf for t in 1..msl-1
     f_start[0] = -per_change
     ends = np.arange(n + 1, dtype=float)
+    floors = np.full(n + m, math.inf)
+    floors[:m] = stats.var_floor
+    floor2d = _by_length(floors, n, m)
     if mbic:
-        # penalty_scale * log(length) for lengths msl..n, laid out so that
-        # row t - msl, column p of log_len2d holds it for end t and start p >= 1
-        # (length t - msl - p + 1); lengths below msl read zeros, and only
-        # inadmissible cells, overwritten below, have them
-        log_len = penalty_scale * np.log(np.arange(msl, n + 1, dtype=float))
-        padded = np.zeros(n + m - 1)
-        padded[m - 2 + msl :] = log_len
-        log_len2d = np.lib.stride_tricks.as_strided(
-            padded[m - 1 :], shape=(n - msl + 1, m), strides=(padded.itemsize, -padded.itemsize)
-        )
+        log_lens = np.zeros(n + m)
+        log_lens[:m] = (penalty_scale * np.log(np.arange(msl, n + 1, dtype=float)))[::-1]
+        log_len2d = _by_length(log_lens, n, m)
     prev = np.zeros(n + 1, dtype=np.intp)  # start of the last segment of the best [0, t)
-    buf = np.empty((3, max(m, msl, min(_BLOCK_CELLS, msl * m))))
+    buf = np.empty((3, max(m, min(_BLOCK_CELLS, msl * m))))
     rows_all = np.arange(msl)
-    # after the first block, cells past the last admissible start of each end
-    # fill a triangle in the block's last columns: row r holds segments of
-    # 1..msl-1 samples from column r on; those blocks are at most `tallest` high
-    tallest = min(msl, max(1, _BLOCK_CELLS // (msl + 1)))
-    short = np.triu(np.ones((tallest, tallest - 1), dtype=bool))
 
     # Ends are scored in blocks of at most msl rows, as one (ends x starts)
     # array: the last start that end t admits is t - msl, so every start a
     # block reads ends before the block does and has its final f_start.
-    # The first block's ends, all below 2*msl, admit start 0 alone.
     t0 = msl
     while t0 <= n:
-        height = min(msl, n - t0 + 1, max(1, _BLOCK_CELLS // (t0 - msl + 1)))
+        height = min(msl, n - t0 + 1, max(1, _BLOCK_CELLS // t0))
         t1 = t0 + height - 1
-        n_cols = max(1, t1 - 2 * msl + 2)  # the starts the block's last end admits
+        n_cols = t1 - msl + 1  # the starts up to the last one the block's last end admits
         cells = height * n_cols
         lengths, mean, var = (row[:cells].reshape(height, n_cols) for row in buf)
-        np.subtract(ends[t0 : t1 + 1, None], start_f[:n_cols], out=lengths)
-        np.subtract(ps[t0 : t1 + 1, None], ps_start[:n_cols], out=mean)
+        np.subtract(ends[t0 : t1 + 1, None], ends[:n_cols], out=lengths)
+        np.subtract(ps[t0 : t1 + 1, None], ps[:n_cols], out=mean)
         mean /= lengths
-        np.subtract(pq[t0 : t1 + 1, None], pq_start[:n_cols], out=var)
+        np.subtract(pq[t0 : t1 + 1, None], pq[:n_cols], out=var)
         var /= lengths
         mean *= mean
         var -= mean
-        np.maximum(var, floor, out=var)
+        np.maximum(var, floor2d[t0 : t1 + 1, :n_cols], out=var)
         vals = np.log(var, out=var)
         vals *= lengths  # the segment costs
         if mbic:
-            vals[:, 0] += log_len[t0 - msl : t1 - msl + 1]
-            vals[:, 1:] += log_len2d[t0 - msl : t1 - msl + 1, 1:n_cols]
+            vals += log_len2d[t0 : t1 + 1, :n_cols]
         np.add(f_start[:n_cols], vals, out=vals)
         vals += per_change
-        if n_cols > 1:
-            np.copyto(vals[:, n_cols - height + 1 :], math.inf, where=short[:height, : height - 1])
 
         rows = rows_all[:height]
         best_pos = vals.argmin(axis=1)
@@ -278,11 +270,10 @@ def detect_changepoints(
         for r in np.flatnonzero(vals.min(axis=1) == best).tolist():
             # a tie: prefer fewer change points, then the smallest tau vector
             ties = [int(best_pos[r]), *np.flatnonzero(vals[r] == best[r]).tolist()]
-            keys = [(len(k), k) for k in (_taus_ending_at(prev, int(all_starts[p])) for p in ties)]
+            keys = [(len(k), k) for k in (_taus_ending_at(prev, p) for p in ties)]
             best_pos[r] = ties[keys.index(min(keys))]
-        stored = max(0, min(t1, n - msl) - t0 + 1)  # ends that also start a later segment
-        f_start[t0 - msl + 1 : t0 - msl + 1 + stored] = best[:stored]
-        prev[t0 : t1 + 1] = all_starts[best_pos]
+        f_start[t0 : t1 + 1] = best
+        prev[t0 : t1 + 1] = best_pos
         t0 = t1 + 1
 
     found = ChangePointSet(_taus_ending_at(prev, int(prev[n])), math.nan)

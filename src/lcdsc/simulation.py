@@ -35,8 +35,8 @@ class LocalSignalSpec:
     def __post_init__(self):
         for name in ("total_len", "a_start", "a_end", "seed"):
             _integer(getattr(self, name), name)
-        if not 0 <= self.a_start <= self.a_end < self.total_len:
-            raise ValueError("active interval must satisfy 0 <= a_start <= a_end < total_len")
+        if not 0 <= self.a_start < self.a_end < self.total_len:
+            raise ValueError("active interval must satisfy 0 <= a_start < a_end < total_len")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and nonnegative")
 
@@ -75,8 +75,6 @@ def local_doppler(spec: LocalSignalSpec) -> tuple[TimeSeries, np.ndarray, tuple[
     normalized over the window, ``u = (t - a_start)/(a_end - a_start)``,
     so the full burst appears inside the window.
     """
-    if spec.a_end == spec.a_start:
-        raise ValueError("active interval must have positive width")
     t = np.arange(spec.total_len)
     truth = np.zeros(spec.total_len)
     window = slice(spec.a_start, spec.a_end + 1)
@@ -158,7 +156,7 @@ def separability_check(cleaned_imf, a1: tuple[int, int], a2: tuple[int, int]) ->
 
 def doppler_grid(t_lens, sigmas, localities=(0.25,)) -> list[tuple[int, float, float]]:
     """Cross product of lengths, noise levels, and locality ratios."""
-    return [(int(t), float(s), float(r)) for t in t_lens for s in sigmas for r in localities]
+    return [(_integer(t, "T"), float(s), float(r)) for t in t_lens for s in sigmas for r in localities]
 
 
 def instance_seed(base_seed: int, cell_index: int, replicate: int) -> int:

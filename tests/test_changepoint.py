@@ -283,7 +283,7 @@ class TestDetect:
 
     @settings(deadline=None, max_examples=80)
     @given(
-        st.integers(2, 7).flatmap(
+        st.integers(2, 12).flatmap(
             lambda msl: st.tuples(
                 st.integers(max(12, 2 * msl), 150).flatmap(
                     lambda n: st.one_of(
@@ -308,12 +308,13 @@ class TestDetect:
 
     def test_every_block_shape_matches_unpruned_search(self, monkeypatch):
         # ends are scored in blocks of min_seg_len rows unless a cell budget
-        # caps them; cover full and partial last blocks, and capped heights
+        # caps them; cover full and partial last blocks, capped heights (the
+        # first block among them) and one-row blocks wider than the budget
         rng = np.random.default_rng(41)
-        for cells in (None, 1, 7, 40):
+        for cells in (None, 1, 7, 40, 60):
             if cells is not None:
                 monkeypatch.setattr(changepoint, "_BLOCK_CELLS", cells)
-            for msl in range(2, 8):
+            for msl in range(2, 13):
                 for n in range(2 * msl, 5 * msl + 1, 3):
                     for x in (rng.integers(-2, 3, n).astype(float), rng.normal(0, 1, n)):
                         for penalty in (Penalty("bic"), Penalty("mbic"), Penalty("aic", 1.5)):

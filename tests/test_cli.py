@@ -498,6 +498,12 @@ class TestSimulate:
         assert run_cli("simulate", *args, "--out", str(tmp_path / "s")) == 1
         assert not (tmp_path / "s").exists()
 
+    def test_empty_active_interval_is_usage_error(self, tmp_path, capsys):
+        args = ("doppler", "--T", "600", "--a-start", "300", "--a-end", "300")
+        assert run_cli("simulate", *args, "--out", str(tmp_path / "s")) == 1
+        assert "a_start < a_end" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("args", [
         ("doppler", "--delta", "5"),
         ("chirp", "--a-start", "3"),

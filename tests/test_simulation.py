@@ -72,6 +72,11 @@ class TestLocalDoppler:
         with pytest.raises(ValueError):
             local_doppler(LocalSignalSpec(100, 50, 50, 0.1, seed=0))
 
+    @pytest.mark.parametrize("args", [(100, 50, 50), (100, 60, 50), (100, -1, 50), (100, 20, 100)])
+    def test_spec_requires_a_positive_width_interval_inside_the_record(self, args):
+        with pytest.raises(ValueError, match="0 <= a_start < a_end < total_len"):
+            LocalSignalSpec(*args, 0.1)
+
     @pytest.mark.parametrize("name, args", [
         ("total_len", (100.5, 20, 40)), ("a_start", (100, 20.0, 40)), ("a_end", (100, 20, 40.5)),
     ])
@@ -187,6 +192,18 @@ class TestSeparability:
     def test_empty_gap(self):
         with pytest.raises(ValueError, match="gap"):
             separability_check(np.zeros(2000), (500, 1000), (1000, 1500))
+
+
+class TestDopplerGrid:
+    def test_cells(self):
+        grid = simulation.doppler_grid([np.int64(400), 2500], [0.2], [0.25, 4])
+        assert grid == [(400, 0.2, 0.25), (400, 0.2, 4.0), (2500, 0.2, 0.25), (2500, 0.2, 4.0)]
+        assert type(grid[0][0]) is int
+
+    @pytest.mark.parametrize("t_len", [2500.7, math.nan, math.inf], ids=["fractional", "nan", "inf"])
+    def test_T_must_be_an_integer(self, t_len):
+        with pytest.raises(ValueError, match="T must be an integer"):
+            simulation.doppler_grid([t_len], [0.2])
 
 
 class TestRunBenchmark:
