@@ -100,16 +100,6 @@ class CleaningReport:
     diagnostics: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
-class _ImfAnalysis:
-    """Per-IMF detection state shared between the pipeline stages."""
-
-    changepoints: ChangePointSet   # full-rate change points
-    # (full-rate start, end, per-cycle variance, effective count) per
-    # segment; empty when the IMF has no change points
-    segments: tuple[tuple[int, int, float, int], ...]
-
-
 def clean_imf(imf, cps: ChangePointSet, decisions) -> np.ndarray:
     """Zero every segment not flagged significant.
 
@@ -146,30 +136,31 @@ def _cycle_stride(imf_samples: np.ndarray, n: int) -> tuple[int, float]:
 
 def _detect_stage(
     d: Decomposition, config: LcdscConfig
-) -> tuple[np.ndarray, tuple[_ImfAnalysis, ...], tuple[str, ...]]:
-    """Per-IMF amplitudes, change points and segment tables (the gamma-independent work)."""
+) -> tuple[np.ndarray, tuple[tuple[ChangePointSet, tuple], ...], tuple[str, ...]]:
+    """Per-IMF amplitudes, change points and segment tables (the gamma-independent work).
+
+    Each IMF gets its full-rate change points and its segment table: the
+    full-rate start, end, per-cycle variance and effective count of every
+    segment, empty when the IMF has no change points.
+    """
     n = d.residual.size
     msl = config.min_seg_len
     diagnostics = list(d.diagnostics)
-    analyses = []
+    detected = []
     empty = ChangePointSet((), 0.0)
     amplitudes = np.empty_like(d.imfs)
     for j, (imf, amp) in enumerate(zip(d.imfs, amplitudes), start=1):
         amp[:] = instantaneous_amplitude(imf)
         stride, factor = _cycle_stride(imf, n)
-        guarded = amp.copy()
-        if n > 2 * stride:
-            # hold the first and last period at interior values: the
-            # analytic amplitude spikes at the series edges
-            guarded[:stride] = guarded[stride]
-            guarded[n - stride :] = guarded[n - stride - 1]
-        sampled = guarded[::stride]
+        sampled = amp[::stride].copy()
         if sampled.size < 2 * msl:
-            diagnostics.append(
-                f"imf {j}: amplitude too short to segment; component zeroed"
-            )
-            analyses.append(_ImfAnalysis(empty, ()))
+            diagnostics.append(f"imf {j}: amplitude too short to segment; component zeroed")
+            detected.append((empty, ()))
             continue
+        # hold the first and last period at interior values: the analytic
+        # amplitude spikes at the series edges.  Here n > 3 * stride, so
+        # one sample lies in each of those periods
+        sampled[0], sampled[-1] = amp[stride], amp[n - stride - 1]
         cps = detect_changepoints(sampled, config.penalty, msl, config.penalty_scale)
         taus_full = tuple(int((tau + 1) * stride - 1) for tau in cps.taus)
         full_view = ChangePointSet(taus_full, cps.total_cost)
@@ -179,8 +170,8 @@ def _detect_stage(
                 (lo, hi, sample_variance(sampled, a, b), _effective_count(b - a + 1, factor))
                 for (a, b), (lo, hi) in zip(cps.segments(sampled.size), full_view.segments(n))
             )
-        analyses.append(_ImfAnalysis(full_view, segments))
-    return _frozen(amplitudes), tuple(analyses), tuple(diagnostics)
+        detected.append((full_view, segments))
+    return _frozen(amplitudes), tuple(detected), tuple(diagnostics)
 
 
 def _effective_count(samples: int, factor: float) -> int:
@@ -190,14 +181,13 @@ def _effective_count(samples: int, factor: float) -> int:
 def _testing_stage(
     d: Decomposition,
     amplitudes: np.ndarray,
-    analyses: tuple[_ImfAnalysis, ...],
+    detected: tuple[tuple[ChangePointSet, tuple], ...],
     diagnostics: tuple[str, ...],
     config: LcdscConfig,
 ) -> CleaningReport:
     """F-tests, Holm correction, zeroing, and report assembly for one gamma."""
     tests = []
-    for pos, analysis in enumerate(analyses):
-        segs = analysis.segments
+    for j, (_, segs) in enumerate(detected, start=1):
         for q, (lo, hi, s2, count) in enumerate(segs):
             before = segs[q - 1][2:] if q > 0 else None
             after = segs[q + 1][2:] if q + 1 < len(segs) else None
@@ -207,27 +197,25 @@ def _testing_stage(
                     (s2, count),
                     after,
                     config.gamma,
-                    imf_index=pos + 1,
+                    imf_index=j,
                     seg_start=lo,
                     seg_end=hi,
                 )
             )
 
     p_values = [t.p_value for t in tests]
-    flags = holm_bonferroni(p_values, config.alpha) if tests else []
-    thresholds = holm_thresholds(p_values, config.alpha) if tests else []
+    flags = holm_bonferroni(p_values, config.alpha)
+    thresholds = holm_thresholds(p_values, config.alpha)
     decisions = tuple(
         SegmentDecision(test=t, significant=flag, holm_threshold=thr)
         for t, flag, thr in zip(tests, flags, thresholds)
     )
 
-    per_imf: list[list[SegmentDecision]] = [[] for _ in d.imfs]
-    for decision in decisions:
-        per_imf[decision.test.imf_index - 1].append(decision)
-
     cleaned_imfs = np.zeros_like(d.imfs)
-    for row, imf, analysis, decs in zip(cleaned_imfs, d.imfs, analyses, per_imf):
-        row[:] = clean_imf(imf, analysis.changepoints, decs)
+    first = 0  # IMF j's decisions follow those of IMFs 1 .. j - 1, one per table row
+    for row, imf, (cps, segs) in zip(cleaned_imfs, d.imfs, detected):
+        row[:] = clean_imf(imf, cps, decisions[first : first + len(segs)])
+        first += len(segs)
     # rows are added in order from +0.0: the bits of np.sum over a stacked copy
     cleaned = cleaned_imfs.sum(axis=0)
     if config.include_residual:
@@ -236,7 +224,7 @@ def _testing_stage(
     return CleaningReport(
         decomposition=d,
         amplitudes=amplitudes,
-        changepoints=tuple(a.changepoints for a in analyses),
+        changepoints=tuple(cps for cps, _ in detected),
         decisions=decisions,
         cleaned_imfs=_frozen(cleaned_imfs),
         cleaned_signal=_frozen(cleaned),

@@ -9,7 +9,8 @@ the input.
 
 Exit codes, picked by ``main`` alone from the exception's type: 0 success;
 1 usage error, a ``ValueError`` (a bad flag, key or value, a key set twice,
-or any argument the library rejects); 2 data error, an input file that
+or any argument the library rejects) or a ``MemoryError`` (a size the host
+cannot hold, reported as ``out of memory``); 2 data error, an input file that
 cannot be read, is malformed or is too short to decompose, or an output
 that cannot be written; 3 numerical failure, an ``ArithmeticError`` (an
 overflow or a failed spline solve).  Every command is deterministic given
@@ -144,13 +145,14 @@ def _numeric_series(fmt: str, raw: bytes) -> TimeSeries | None:
     if fmt == "plain":
         return TimeSeries(data[:, 0], 1.0)
     ts = data[:, 0]
-    dt = float(ts[1] - ts[0])
-    if dt <= 0:
-        return None
-    steps = np.diff(ts)
-    steps -= dt
-    if (np.abs(steps, out=steps) > 1e-6 * abs(dt)).any():
-        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step fails a check
+        dt = float(ts[1] - ts[0])
+        if not 0 < dt < math.inf:
+            return None
+        steps = np.diff(ts)
+        steps -= dt
+        if (np.abs(steps, out=steps) > 1e-6 * abs(dt)).any():
+            return None
     return TimeSeries(data[:, 1], dt)
 
 
@@ -245,6 +247,8 @@ def _row_series(path: str, fmt: str, content: str) -> TimeSeries:
         dt = ts[1] - ts[0] if len(ts) > 1 else 1.0  # fewer samples fail the length check
         if dt <= 0:
             raise DataError(f"{path}: row {row_no(start + 1)}: time column must be increasing")
+        if dt == math.inf:
+            raise DataError(f"{path}: row {row_no(start + 1)}: time step overflows")
         for i in range(1, len(ts)):
             if abs((ts[i] - ts[i - 1]) - dt) > 1e-6 * abs(dt):
                 raise DataError(f"{path}: row {row_no(start + i)}: non-uniform sample spacing")
@@ -305,33 +309,21 @@ def _decomposition_columns(d: Decomposition) -> list[tuple[str, np.ndarray]]:
     return cols
 
 
+# report.json's names for the SegmentTest fields it renames
+_SEGMENT_KEYS = {"imf_index": "imf", "seg_start": "start", "seg_end": "end", "p_value": "p"}
+
+
 def _report_doc(report: CleaningReport, files: dict[str, str]) -> dict:
     config = asdict(report.config)
     penalty = config.pop("penalty")
     config = {"emd": config.pop("emd"), "penalty": penalty["kind"], "beta": penalty["beta"],
               **config}
-    changepoints = [
-        {"imf": i + 1, "taus": [int(t) for t in cps.taus]}
-        for i, cps in enumerate(report.changepoints)
-    ]
-    segments = []
-    for dec in report.decisions:
-        t = dec.test
-        segments.append({
-            "imf": t.imf_index,
-            "start": t.seg_start,
-            "end": t.seg_end,
-            "s2_before": None if t.s2_before is None else float(t.s2_before),
-            "s2_during": float(t.s2_during),
-            "s2_after": None if t.s2_after is None else float(t.s2_after),
-            "n_before": t.n_before,
-            "n_during": t.n_during,
-            "n_after": t.n_after,
-            "f_stat": float(t.f_stat),
-            "p": float(t.p_value),
-            "holm_threshold": float(dec.holm_threshold),
-            "significant": dec.significant,
-        })
+    changepoints = [{"imf": i + 1, "taus": list(cps.taus)}
+                    for i, cps in enumerate(report.changepoints)]
+    # SegmentTest's fields in order, four renamed, then the Holm verdict
+    segments = [{**{_SEGMENT_KEYS.get(k, k): v for k, v in asdict(dec.test).items()},
+                 "holm_threshold": dec.holm_threshold, "significant": dec.significant}
+                for dec in report.decisions]
     return {
         "config": config,
         "changepoints": changepoints,
@@ -584,9 +576,9 @@ def _parse_grid_file(path: str) -> list[tuple[int, float, float]]:
 
 
 def _cmd_bench(args) -> int:
+    config = _clean_config(args, _CLEAN_KEYS)
     grid = _parse_grid_file(args.grid)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    config = _clean_config(args, _CLEAN_KEYS)
     results = run_benchmark(methods, grid, args.replicates, config.emd.seed, config=config)
     _atomic_write(args.out, [bench_table(results, timing=args.timing)])
     return 0
@@ -647,6 +639,9 @@ def main(argv=None) -> int:
         return DATA_ERROR
     except ValueError as exc:  # UsageError, or an argument the library rejects
         print(f"lcdsc: usage error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:  # a size the host cannot hold
+        print(f"lcdsc: usage error: out of memory: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ArithmeticError as exc:
         print(f"lcdsc: numerical failure: {exc}", file=sys.stderr)

@@ -77,7 +77,7 @@ class TimeSeries:
     Parameters
     ----------
     samples : array_like
-        The raw sample values.
+        The raw sample values, all finite.
     dt : float, optional
         Sample interval in seconds (default 1.0).
     """
@@ -87,6 +87,8 @@ class TimeSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen_copy(_as_1d_float(self.samples, "samples")))
+        if not np.isfinite(self.samples).all():
+            raise ValueError("invalid samples: input contains non-finite values")
         if not 0 < self.dt < math.inf:  # NaN fails it
             raise ValueError("dt must be positive and finite")
 

@@ -22,6 +22,11 @@ from lcdsc import (
     run_benchmark,
 )
 
+from lcdsc.changepoint import detect_changepoints
+from lcdsc.cleaning import _cycle_stride, _effective_count
+from lcdsc.inference import holm_bonferroni, holm_thresholds, sample_variance
+from lcdsc.spectral import instantaneous_amplitude
+
 FAST_EMD = EmdConfig(ensemble_size=6, seed=0)
 
 
@@ -228,6 +233,98 @@ class TestReportMatrices:
         reports = gamma_sweep(noisy, [1.0, 2.0, 4.0], LcdscConfig(emd=FAST_EMD))
         assert all(r.amplitudes is reports[0].amplitudes for r in reports)
         assert reports[0].amplitudes.shape == (reports[0].decomposition.n_imfs, 600)
+
+
+def sine_with_samples(n, size):
+    """A sine whose amplitude the detection stage samples at ``size`` per-cycle points."""
+    t = np.arange(n)
+    for period in range(2, n):
+        imf = np.sin(2 * np.pi * t / period + 0.3)
+        if -(-n // _cycle_stride(imf, n)[0]) == size:
+            return imf
+    raise AssertionError(f"no period gives {size} samples")
+
+
+def parent_stages(d, config):
+    """The detection and testing stages written out the long way: a full-length
+    edge-held amplitude copy per IMF, and decisions regrouped by IMF index."""
+    n, msl = d.residual.size, config.min_seg_len
+    amplitudes, changepoints, tables, diagnostics = [], [], [], list(d.diagnostics)
+    for j, imf in enumerate(d.imfs, start=1):
+        amp = instantaneous_amplitude(imf)
+        amplitudes.append(amp)
+        stride, factor = _cycle_stride(imf, n)
+        guarded = amp.copy()
+        if n > 2 * stride:
+            guarded[:stride] = guarded[stride]
+            guarded[n - stride :] = guarded[n - stride - 1]
+        sampled = guarded[::stride]
+        if sampled.size < 2 * msl:
+            diagnostics.append(f"imf {j}: amplitude too short to segment; component zeroed")
+            changepoints.append(ChangePointSet((), 0.0))
+            tables.append(())
+            continue
+        cps = detect_changepoints(sampled, config.penalty, msl, config.penalty_scale)
+        full = ChangePointSet(tuple(int((t + 1) * stride - 1) for t in cps.taus), cps.total_cost)
+        table = ()
+        if cps.taus:
+            table = tuple(
+                (lo, hi, sample_variance(sampled, a, b), _effective_count(b - a + 1, factor))
+                for (a, b), (lo, hi) in zip(cps.segments(sampled.size), full.segments(n))
+            )
+        changepoints.append(full)
+        tables.append(table)
+    tests = [
+        f_test_segment(table[q - 1][2:] if q else None, (s2, count),
+                       table[q + 1][2:] if q + 1 < len(table) else None, config.gamma,
+                       imf_index=j, seg_start=lo, seg_end=hi)
+        for j, table in enumerate(tables, start=1)
+        for q, (lo, hi, s2, count) in enumerate(table)
+    ]
+    p = [t.p_value for t in tests]
+    flags = holm_bonferroni(p, config.alpha) if tests else []
+    thresholds = holm_thresholds(p, config.alpha) if tests else []
+    decisions = tuple(map(SegmentDecision, tests, flags, thresholds))
+    per_imf = [[] for _ in d.imfs]
+    for dec in decisions:
+        per_imf[dec.test.imf_index - 1].append(dec)
+    cleaned = np.zeros_like(d.imfs)
+    for row, imf, cps, decs in zip(cleaned, d.imfs, changepoints, per_imf):
+        row[:] = clean_imf(imf, cps, decs)
+    return np.array(amplitudes), changepoints, decisions, cleaned, diagnostics
+
+
+class TestStageLayout:
+    """Each IMF's decisions are a contiguous run in table order, and only the
+    first and last per-cycle samples are held at interior values."""
+
+    @pytest.mark.parametrize("msl", [2, 3, 5])
+    @pytest.mark.parametrize("gamma", [1.0, 3.0])
+    def test_matches_the_stages_written_out(self, msl, gamma):
+        n = 1200
+        bursty = bursty_rows(np.random.default_rng(msl), 2, n)
+        # per-cycle series of 2 * msl - 1, 2 * msl and 2 * msl + 1 samples, and
+        # zeroed IMFs between the two IMFs with segments
+        short = [sine_with_samples(n, 2 * msl + k) for k in (-1, 0, 1)]
+        zero = np.zeros(n)
+        d = Decomposition([bursty[0], zero, short[0], zero, bursty[1], *short[1:], zero],
+                          np.zeros(n), diagnostics=("from the decomposition",))
+        config = LcdscConfig(min_seg_len=msl, gamma=gamma)
+        report = clean_decomposition(d, config)
+        amplitudes, changepoints, decisions, cleaned, diagnostics = parent_stages(d, config)
+
+        assert report.amplitudes.tobytes() == amplitudes.tobytes()
+        assert [(c.taus, c.total_cost.hex()) for c in report.changepoints] == [
+            (c.taus, c.total_cost.hex()) for c in changepoints
+        ]
+        assert report.decisions == decisions
+        assert report.cleaned_imfs.tobytes() == cleaned.tobytes()
+        assert report.diagnostics == tuple(diagnostics)
+        # the layout the test is about: segments on IMFs 1 and 5, none on those between
+        segmented = sorted({dec.test.imf_index for dec in decisions})
+        assert segmented[:2] == [1, 5]
+        # detection ran on the IMFs with 2 * msl and 2 * msl + 1 samples too
+        assert sum(1 for c in changepoints if c.total_cost != 0.0) == 4
 
 
 class TestGammaSweep:

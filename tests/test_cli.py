@@ -156,9 +156,12 @@ class TestIngest:
          "row 3: field larger than field limit"),
         ("x.csv", "t" * 140_000 + ",value\n0,1\n1,2\n2,3\n3,4\n",
          "row 1: field larger than field limit"),
+        ("x.csv", "t,value\n-1.5e308,1\n1.5e308,2\n1.6e308,3\n1.7e308,4\n",
+         "row 3: time step overflows"),
     ], ids=["csv", "plain", "csv-quoted-newline", "underscore", "form-feed", "whitespace-line",
             "quoted-numbers", "overflow-inf", "inf", "three-columns", "header-only",
-            "three-rows", "plain-overflow-inf", "gap", "long-finite-field", "long-header-field"])
+            "three-rows", "plain-overflow-inf", "gap", "long-finite-field", "long-header-field",
+            "overflowing-step"])
     def test_errors_name_file_lines(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name
         path.write_bytes(text.encode())
@@ -286,6 +289,9 @@ _HOSTILE_INPUTS = {
     "overflow-inf": (b"t,value\n0,1\n1,1e999\n2,3\n3,1\n", 2),
     "three-columns": (b"t,value\n0,1\n1,-1,5\n2,2\n3,0\n", 2),
     "blank-after-header": (b"t,value\n\n\n", 2),
+    # an infinite first step, and a later one whose difference overflows
+    "overflowing-first-step": (b"t,value\n-1.5e308,1\n1.5e308,2\n1.6e308,3\n1.7e308,4\n", 2),
+    "overflowing-later-step": (b"t,value\n0,1\n1,2\n-1.5e308,3\n1.5e308,4\n", 2),
 }
 _HOSTILE_CONFIGS = {
     "nan-gamma": (b"gamma = nan\n", 1),
@@ -365,6 +371,26 @@ class TestExitCodeContract:
             # a cap above every trial's width decomposes as the automatic one does
             assert run_cli(*args, "--max-imfs", "40", "--out-dir", str(tmp_path / "ref")) == 0
             assert read(tmp_path / "o" / "imfs.csv") == read(tmp_path / "ref" / "imfs.csv")
+
+    # each asks for about 7 PiB, more than a process can map, so numpy fails at once
+    @pytest.mark.parametrize("args", [
+        ("simulate", "doppler", "--T", "1000000000000000"),
+        ("simulate", "chirp", "--T", "1000000000000000"),
+        ("simulate", "double", "--delta", "1000000000000000"),
+        ("bench", "--methods", "none"),
+    ], ids=["doppler", "chirp", "double", "bench"])
+    def test_size_the_host_cannot_hold_is_a_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        if args[0] == "bench":
+            (tmp_path / "grid.cfg").write_text("T = 1000000000000000\n")
+            args += ("--grid", str(tmp_path / "grid.cfg"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*args, "--out", str(out))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1, err
+        assert len(err) == 1 and err[0].startswith("lcdsc: usage error: out of memory: "), err
+        assert not out.exists()
 
     def test_overflowing_penalty_flag_is_a_numerical_failure(self, tmp_path, capsys):
         path = tmp_path / "sine.csv"
@@ -493,6 +519,9 @@ class TestSimulate:
         ("chirp", "--f0", "nan"),
         ("chirp", "--f1", "nan"),
         ("double", "--sigma", "nan"),
+        ("doppler", "--sigma", "1e308"),
+        ("chirp", "--sigma", "1e308"),
+        ("double", "--sigma", "1e308"),
     ], ids=lambda args: " ".join(args))
     def test_parameter_without_finite_recording_is_usage_error(self, tmp_path, args):
         assert run_cli("simulate", *args, "--out", str(tmp_path / "s")) == 1
@@ -597,11 +626,11 @@ class TestClean:
         assert set(doc) == {"config", "changepoints", "segments", "eta", "diagnostics", "files"}
         assert json.dumps(doc, indent=2) + "\n" == raw
         for seg in doc["segments"]:
-            assert set(seg) == {
+            assert list(seg) == [
                 "imf", "start", "end", "s2_before", "s2_during", "s2_after",
                 "n_before", "n_during", "n_after", "f_stat", "p",
                 "holm_threshold", "significant",
-            }
+            ]
             assert 0.0 <= seg["p"] <= 1.0
         assert doc["config"]["gamma"] == 1.0
         assert all(isinstance(i, int) for i in doc["eta"])
@@ -653,11 +682,16 @@ class TestSettings:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("args", [("clean", "--gamma", "0.2"),
-                                      ("sweep-gamma", "--gammas", "2,0.2")])
+                                      ("sweep-gamma", "--gammas", "2,0.2"),
+                                      ("bench", "--gamma", "0.2")])
     def test_settings_are_checked_before_the_input_is_read(self, tmp_path, capsys, args):
         command, *flags = args
-        assert run_cli(command, str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "x"),
-                       *flags) == 1
+        if command == "bench":
+            files = ("--grid", str(tmp_path / "missing.cfg"), "--methods", "none",
+                     "--out", str(tmp_path / "x.csv"))
+        else:
+            files = (str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "x"))
+        assert run_cli(command, *files, *flags) == 1
         assert "gamma must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["decompose", "clean"])

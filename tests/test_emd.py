@@ -668,6 +668,11 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 TimeSeries([1.0, 2.0], dt=bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_time_series_samples_are_finite(self, bad):
+        with pytest.raises(ValueError, match="invalid samples: input contains non-finite values"):
+            TimeSeries([1.0, bad, 2.0, 3.0])
+
     def test_numpy_integer_seed_is_its_value(self):
         x = np.sin(np.arange(300) / 3.0) + np.random.default_rng(0).normal(0.0, 0.3, 300)
         a = eemd(x, EmdConfig(ensemble_size=3, seed=np.int64(3)))
