@@ -8,7 +8,8 @@ of squares against a known truth, giving each family its performance
 upper bound.  The wavelet-style baselines threshold each IMF against the
 universal threshold with a MAD noise estimate, either sample by sample
 (hard) or whole inter-zero-crossing intervals at a time; they and the
-noise estimate reject an empty or non-finite IMF.
+noise estimate reject an empty or non-finite IMF, and the oracle rejects
+a non-finite IMF before it scores any subset.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ def oracle_select(d: Decomposition, truth, family: str) -> tuple[tuple[int, ...]
         raise ValueError("truth length does not match the decomposition")
     if not np.all(np.isfinite(truth)):
         raise ValueError("truth contains non-finite values")
+    if not np.isfinite(d.imfs).all():  # a NaN sum of squares never scores as the minimum
+        raise ValueError("invalid samples: input contains non-finite values")
     value, _, best = min(_subset_rss(d, truth, _family_subsets(family, d.n_imfs)))
     return best, value
 

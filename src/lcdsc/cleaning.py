@@ -83,6 +83,9 @@ class LcdscConfig:
             raise ValueError("min_seg_len must be at least 2")
         if not 0 < self.penalty_scale < math.inf:
             raise ValueError("penalty_scale must be positive and finite")
+        if not isinstance(self.include_residual, (bool, np.bool_)):  # "no" is truthy
+            raise ValueError("include_residual must be a bool")
+        object.__setattr__(self, "include_residual", bool(self.include_residual))
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,7 +32,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, replace
 from itertools import chain
@@ -84,31 +83,15 @@ _CSV_BODY = re.compile(rb"[0-9+\-.eE,\n]*")
 _ROW_TEXT = re.compile(rb"[^\n]")
 
 
-def _long_field(raw: bytes, start: int, limit: int) -> bool:
-    """Whether the csv lines ``raw[start:]`` hold a field of more than ``limit`` characters.
-
-    Such a field is a run of ``limit + 1`` characters without a comma or
-    newline, so it covers one of the probes spaced ``limit + 1`` apart; a
-    probe looks at most ``limit + 1`` characters to either side of it.
-    """
-    step = max(limit, 0) + 1  # a negative limit rejects every non-empty field, as 0 does
-    for probe in range(start + step - 1, len(raw), step):
-        lo = probe + 1 - step
-        sep = max(raw.rfind(b",", lo, probe + 1), raw.rfind(b"\n", lo, probe + 1))
-        if sep < 0:  # no separator among the step characters up to the probe
-            return True
-        hi = sep + 1 + step
-        if hi <= len(raw) and raw.find(b",", sep + 1, hi) < 0 and raw.find(b"\n", sep + 1, hi) < 0:
-            return True
-    return False
-
-
 def _numeric_series(fmt: str, raw: bytes) -> TimeSeries | None:
     """The series ``np.loadtxt`` reads from the file bytes ``raw``, or None for the per-row reader.
 
-    Only plain numeric text qualifies (see ``ingest``).  Every check of
-    the per-row reader is repeated on arrays with the same formulas, and
-    any failure returns None, so that the per-row reader names the fault.
+    Only plain numeric text qualifies (see ``ingest``).  Every value
+    check of the per-row reader is repeated on arrays with the same
+    formulas, and any failure returns None, so that the per-row reader
+    names the fault.  The csv field limit is screened by line length: a
+    field over it lies on a line over it, and any csv with such a line
+    returns None.
     """
     bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
     start = _NEWLINES.match(raw, bom).end()
@@ -116,21 +99,21 @@ def _numeric_series(fmt: str, raw: bytes) -> TimeSeries | None:
         body = _PLAIN_BODY
     else:
         body = _CSV_BODY
-        limit = csv.field_size_limit()  # the per-row reader rejects a longer field
         end = raw.find(b"\n", start)
         # any byte decodes; a non-ASCII one then fails the header or the body pattern
         first = (raw[start:end] if end >= 0 else raw[start:]).decode("latin-1")
         try:
             float(first.split(",", 1)[0])
         except ValueError:  # the per-row reader's header rule: skip the line
-            if (end < 0 or not first.strip() or not _HEADER_TEXT.fullmatch(first)
-                    or max(map(len, first.split(","))) > limit):
+            if end < 0 or not first.strip() or not _HEADER_TEXT.fullmatch(first):
                 return None
             start = end + 1
     if not body.fullmatch(raw, start) or not _ROW_TEXT.search(raw, start):
         return None  # loadtxt warns on text without a row
-    if fmt == "csv" and _long_field(raw, start, limit):
-        return None
+    if fmt == "csv":  # the field limit, screened by line length; the header's line counts
+        ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+        if np.diff(ends, prepend=-1, append=len(raw)).max() > csv.field_size_limit() + 1:
+            return None
     lines = io.BytesIO(raw)  # shares the bytes; a StringIO would hold 4 bytes a character
     lines.seek(bom)
     try:
@@ -170,7 +153,8 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
     reads it without a Python object per row: ASCII text with no ``"``
     and no line boundary but ``\\n``, whose lines after an optional csv
     header hold only digits, ``+-.eE`` and, in csv, commas.  Any other
-    text, and any text that fails a check there, goes to the per-row
+    text, a csv with a line longer than the ``csv`` module's field limit,
+    and any text that fails a check there, goes to the per-row
     reader, which writes every error message; the series, ``dt`` and
     messages are the same either way.
     """
@@ -265,14 +249,15 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     Any failure removes the temp file; an ``OSError`` becomes a ``DataError``.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)  # the only way to read it is to set it
-    os.umask(umask)
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        # the kernel takes the umask off 0o666, as for open(); O_EXCL never opens another
+        # file, and O_BINARY (Windows only) leaves newlines to fdopen's text layer
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+        fd = os.open(tmp, flags, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
-                os.fchmod(fd, 0o666 & ~umask)
                 fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:

@@ -209,6 +209,7 @@ def run_benchmark(
     ensemble runs on the calling thread, and the parameter stays only
     until the benchmark stops passing it.
     """
+    # imported per call, not at module level, so wrappers perfbench/tracing.py installs are called
     from .baselines import (
         ORACLE_FAMILIES,
         oracle_select,

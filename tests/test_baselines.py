@@ -197,11 +197,19 @@ class TestNoiseSigma:
             noise_sigma([])
 
 
+def _oracle(family):
+    """The oracle over one IMF against a zero truth, as a one-IMF estimator."""
+    return lambda imf: oracle_select(make_decomposition([imf]), np.zeros(len(imf)), family)
+
+
 @pytest.mark.parametrize("estimator", [noise_sigma, wavelet_hard_threshold,
-                                       wavelet_interval_threshold])
+                                       wavelet_interval_threshold]
+                         + [_oracle(family) for family in ORACLE_FAMILIES],
+                         ids=["noise_sigma", "wavelet_hard_threshold", "wavelet_interval_threshold"]
+                         + [f"oracle-{family}" for family in ORACLE_FAMILIES])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_imf_is_rejected(estimator, bad):
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="invalid samples: input contains non-finite values"):
         estimator([bad, 1.0, -2.0, 3.0])
 
 

@@ -425,6 +425,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             LcdscConfig(penalty_scale=0.0)
 
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_include_residual_is_stored_as_a_bool(self, value):
+        config = LcdscConfig(include_residual=value)
+        assert type(config.include_residual) is bool and config.include_residual == value
+
+    @pytest.mark.parametrize("value", ["no", "false", 1, 0, None, 1.0, np.int64(1)])
+    def test_include_residual_other_than_a_bool_is_rejected(self, value):
+        with pytest.raises(ValueError, match="include_residual must be a bool"):
+            LcdscConfig(include_residual=value)
+
     @pytest.mark.parametrize("workers", [2, 0, -3])
     def test_workers_other_than_one_is_rejected(self, workers):
         # the ensemble has one path, on the calling thread

@@ -182,9 +182,12 @@ class TestIngest:
         ("x.csv", "t,value\n0,1\n1,2\n2,3\n3,4\u2028"),
         ("x.txt", "1\n2\n3\n4\x1e"),
         ("x.txt", "1\n2\n 3\n4\n"),
+        # two fields within csv's field limit on one line longer than it
+        ("x.csv", "t,value\n0,1\n1,2\n2." + "0" * 70_000 + ",3." + "0" * 70_000 + "\n3,4\n"),
     ], ids=["crlf", "underscore", "form-feed", "whitespace-line", "leading-spaces-line",
             "quoted-numbers", "space",
-            "non-ascii-header", "line-separator", "record-separator", "plain-space"])
+            "non-ascii-header", "line-separator", "record-separator", "plain-space",
+            "line-over-field-limit"])
     def test_text_beyond_plain_numbers_takes_the_per_row_reader(self, tmp_path, name, text):
         path = tmp_path / name
         path.write_bytes(text.encode())
@@ -223,15 +226,6 @@ class TestIngest:
         assert fast.samples.tobytes() == reference.samples.tobytes()
         assert type(fast.dt) is float and fast.dt.hex() == reference.dt.hex()
         assert ingest(str(path), fmt).samples.tobytes() == reference.samples.tobytes()
-
-    @settings(max_examples=300)
-    @given(st.text("0,\n", max_size=30), st.integers(-2, 6), st.integers(0, 30))
-    def test_long_field_finds_every_field_over_the_limit(self, text, limit, start):
-        raw = text.encode()
-        start = min(start, len(raw))
-        fields = re.split(rb"[,\n]", raw[start:])
-        expected = any(len(field) > max(limit, 0) for field in fields)
-        assert cli._long_field(raw, start, limit) == expected
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_pipe_path_is_read_once(self, monkeypatch):
@@ -303,6 +297,8 @@ _HOSTILE_CONFIGS = {
     "not-utf8": (b"\xff\xfe = 3\n", 2),
     "crlf": (b"gamma = 2\r\nensemble_size = 2\r\n", 0),
     "utf8-bom": (b"\xef\xbb\xbfgamma = 2\nensemble_size = 2\n", 0),
+    "comments-and-blank-lines": (b"# run settings\n\nensemble_size = 2  # fast\n \t\n"
+                                 b"include_residual = off\n\n", 0),
     "huge-noise": (b"noise_amplitude = 1e308\n", 3),
     # passes eemd's noise-scale check, then overflows the change point prefix sums
     "noise-1e154": (b"noise_amplitude = 1e154\nensemble_size = 2\n", 3),
@@ -456,6 +452,16 @@ class TestAtomicWrite:
         size = path.stat().st_size
         assert size > 5_000_000
         assert peak < size / 2, (peak, size)
+
+    def test_umask_is_left_alone(self, tmp_path, monkeypatch):
+        # the kernel applies the umask; setting it would change it for every thread
+        def no_umask(mask):
+            raise AssertionError("os.umask was called")
+
+        monkeypatch.setattr(os, "umask", no_umask)
+        _atomic_write(str(tmp_path / "x.csv"), ["a,b\n"])
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+        assert (tmp_path / "x.csv").read_text() == "a,b\n"
 
     def test_failing_chunk_source_leaves_nothing(self, tmp_path):
         def chunks():
@@ -635,6 +641,23 @@ class TestClean:
         assert doc["config"]["gamma"] == 1.0
         assert all(isinstance(i, int) for i in doc["eta"])
 
+    def test_include_residual_adds_the_residual(self, sim_dir, tmp_path):
+        args = ("clean", str(sim_dir / "noisy.csv"), "--ensemble-size", "3", "--seed", "5")
+        plain, with_residual = tmp_path / "plain", tmp_path / "residual"
+        assert run_cli(*args, "--out-dir", str(plain)) == 0
+        assert run_cli(*args, "--include-residual", "--out-dir", str(with_residual)) == 0
+
+        def load(path):
+            return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+        assert (with_residual / "imfs.csv").read_text().split("\n", 1)[0].endswith(",residual")
+        residual = load(with_residual / "imfs.csv")[:, -1]
+        assert np.array_equal(load(with_residual / "cleaned.csv")[:, 0],
+                              load(plain / "cleaned.csv")[:, 0] + residual)
+        assert np.any(residual != 0)
+        doc = json.loads((with_residual / "report.json").read_text())
+        assert doc["config"]["include_residual"] is True
+
     def test_config_file_with_flag_precedence(self, sim_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma = 2.0\nensemble_size = 6\nseed = 5\n")
@@ -674,6 +697,19 @@ class TestSettings:
         flags = re.findall(r"^ +(--[a-z-]+)", options, re.MULTILINE)
         for key in getattr(cli, table):
             assert flags.count("--" + key.replace("_", "-")) == 1, (key, flags)
+
+    @pytest.mark.parametrize("config, code, message", [
+        ("include_residual = maybe\n", 1, "setting 'include_residual': cannot parse 'maybe'"),
+        (None, 2, "data error: cannot read "),
+    ], ids=["unparsable-bool", "missing-file"])
+    def test_config_file_fault_is_named(self, sim_dir, tmp_path, capsys, config, code, message):
+        cfg = tmp_path / "nope.cfg"
+        if config is not None:
+            cfg.write_text(config)
+        assert run_cli("clean", str(sim_dir / "noisy.csv"), "--out-dir", str(tmp_path / "x"),
+                       "--config", str(cfg)) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_abbreviated_flag_is_usage_error(self, sim_dir, tmp_path, capsys):
         assert run_cli("clean", str(sim_dir / "noisy.csv"), "--out-dir", str(tmp_path / "x"),
@@ -776,6 +812,17 @@ class TestSweepGamma:
     def test_bad_gammas(self, sim_dir, tmp_path):
         assert run_cli("sweep-gamma", str(sim_dir / "noisy.csv"), "--gammas", "0.5,2",
                        "--out-dir", str(tmp_path / "x")) == 1
+
+    @pytest.mark.parametrize("gammas, message", [
+        ("a,b", "cannot parse --gammas 'a,b'"),
+        (" , ", "--gammas must list at least one value"),
+    ], ids=["not-numbers", "no-values"])
+    def test_gammas_without_numbers_are_usage_error(self, sim_dir, tmp_path, capsys, gammas,
+                                                     message):
+        assert run_cli("sweep-gamma", str(sim_dir / "noisy.csv"), "--gammas", gammas,
+                       "--out-dir", str(tmp_path / "x")) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_nan_gamma_is_usage_error(self, sim_dir, tmp_path):
         for gammas in ("1,nan", "1,inf"):
@@ -892,6 +939,14 @@ class TestBench:
                        "--out", str(tmp_path / "c.csv")) == 1
         err = capsys.readouterr().err
         assert key in err.split(str(grid), 1)[1], err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_unparsable_grid_value_is_usage_error(self, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("T = 400\nsigma = x\n")
+        assert run_cli("bench", "--grid", str(grid), "--methods", "none",
+                       "--out", str(tmp_path / "c.csv")) == 1
+        assert "grid key 'sigma': cannot parse 'x'" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
     def test_unknown_grid_key(self, tmp_path):

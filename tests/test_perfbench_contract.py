@@ -75,6 +75,21 @@ def test_traced_trials_and_sifts_are_counted():
     assert sum(1 for s in tracer.spans if s.name == "emd.sift" and s.note is not None) == sum(widths)
 
 
+def test_traced_benchmark_calls_the_wrapped_methods():
+    # run_benchmark imports these per call, so the wrappers installed on
+    # lcdsc.baselines and lcdsc.cleaning are what it calls
+    tracing = _perfbench_module("tracing")
+    config = LcdscConfig(emd=EmdConfig(ensemble_size=2))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_benchmark(METHOD_NAMES, [(400, 0.3, 0.25)], 1, 5, config)
+    finally:
+        tracer.uninstall()
+    names = {s.name for s in tracer.spans}
+    assert {"baselines.oracle", "baselines.wht", "baselines.wit", "cleaning.clean"} <= names
+
+
 def _from_import(module_name, name):
     """What ``from module_name import name`` binds, or None if it would fail."""
     module = importlib.import_module(module_name)
