@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .emd import Decomposition, _as_1d_float, _integer
+from .emd import Decomposition, _as_1d_float, _finite_1d, _integer
 
 _MAD_TO_SIGMA = 0.6745
 
@@ -124,8 +124,7 @@ def oracle_select(d: Decomposition, truth, family: str) -> tuple[tuple[int, ...]
         raise ValueError("truth length does not match the decomposition")
     if not np.all(np.isfinite(truth)):
         raise ValueError("truth contains non-finite values")
-    if not np.isfinite(d.imfs).all():  # a NaN sum of squares never scores as the minimum
-        raise ValueError("invalid samples: input contains non-finite values")
+    _finite_1d(d.imfs.ravel())  # a NaN sum of squares never scores as the minimum
     value, _, best = min(_subset_rss(d, truth, _family_subsets(family, d.n_imfs)))
     return best, value
 
@@ -134,9 +133,7 @@ def _checked_imf(imf) -> np.ndarray:
     x = _as_1d_float(imf, "imf")
     if x.size == 0:
         raise ValueError("empty series")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("invalid samples: input contains non-finite values")
-    return x
+    return _finite_1d(x)
 
 
 def noise_sigma(imf) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emd import _as_1d_float, _frozen, _integer
+from .emd import _as_1d_float, _finite_1d, _frozen, _integer, _real
 
 _PENALTY_KINDS = ("aic", "bic", "mbic")
 _BLOCK_CELLS = 1 << 16  # most (end, start) cells detection scores at once
@@ -38,6 +38,7 @@ class Penalty:
         # each check is written so that NaN fails it
         if self.kind not in _PENALTY_KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {_PENALTY_KINDS}")
+        object.__setattr__(self, "beta", _real(self.beta, "beta"))
         if self.kind == "aic" and not 0 < self.beta < math.inf:
             raise ValueError("aic penalty requires a finite beta > 0")
         if self.kind != "aic" and not self.beta == 0:
@@ -54,9 +55,7 @@ class SegStats:
 
     @classmethod
     def from_series(cls, series) -> "SegStats":
-        x = _as_1d_float(series)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("invalid samples: input contains non-finite values")
+        x = _finite_1d(series)
         with np.errstate(over="ignore", invalid="ignore"):
             prefix_sum = np.concatenate(([0.0], np.cumsum(x)))
             prefix_sumsq = np.concatenate(([0.0], np.cumsum(x * x)))
@@ -86,7 +85,8 @@ class ChangePointSet:
     def segments(self, n: int) -> list[tuple[int, int]]:
         """Inclusive ``(start, end)`` bounds of every implied segment of
         ``n`` samples; every change point must come before sample ``n - 1``."""
-        if _integer(n, "n") < 1 or (self.taus and self.taus[-1] >= n - 1):
+        n = _integer(n, "n")
+        if n < 1 or (self.taus and self.taus[-1] >= n - 1):
             raise ValueError(f"change points {self.taus} do not split {n} samples")
         starts = [0] + [tau + 1 for tau in self.taus]
         ends = list(self.taus) + [n - 1]
@@ -200,8 +200,10 @@ def detect_changepoints(
         likelihood evidence relative to the nominal sample count.
     """
     x = _as_1d_float(series)
-    if _integer(min_seg_len, "min_seg_len") < 2:
+    min_seg_len = _integer(min_seg_len, "min_seg_len")
+    if min_seg_len < 2:
         raise ValueError("min_seg_len must be at least 2")
+    penalty_scale = _real(penalty_scale, "penalty_scale")
     if not 0 < penalty_scale < math.inf:
         raise ValueError("penalty_scale must be positive and finite")
     n = x.size

@@ -41,6 +41,7 @@ from .emd import (
     _as_1d_float,
     _frozen,
     _integer,
+    _real,
     _zero_crossings,
     eemd,
 )
@@ -62,7 +63,9 @@ class LcdscConfig:
     cycles), so it is scale-free across components.  ``penalty_scale``
     inflates the change-point penalty to offset the residual serial
     correlation of per-cycle amplitude samples; 1.0 recovers the plain
-    information criterion.
+    information criterion.  Every number is stored as a plain Python
+    ``int`` or ``float``: NumPy scalars are converted, and a bool raises
+    ``ValueError``.
     """
 
     emd: EmdConfig = EmdConfig()
@@ -74,12 +77,15 @@ class LcdscConfig:
     penalty_scale: float = 2.0
 
     def __post_init__(self):
+        for name in ("gamma", "alpha", "penalty_scale"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         # each check is written so that NaN fails it
         if not 1 <= self.gamma < math.inf:
             raise ValueError("gamma must be at least 1 and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if not _integer(self.min_seg_len, "min_seg_len") >= 2:
+        object.__setattr__(self, "min_seg_len", _integer(self.min_seg_len, "min_seg_len"))
+        if self.min_seg_len < 2:
             raise ValueError("min_seg_len must be at least 2")
         if not 0 < self.penalty_scale < math.inf:
             raise ValueError("penalty_scale must be positive and finite")

@@ -26,6 +26,7 @@ reached instead of every trial's IMFs, so its memory is O(width * n) for
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import KW_ONLY, dataclass
 
@@ -41,11 +42,24 @@ class MonotonicComponent(ValueError):
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int: numpy integers pass, floats (NaN and 3.0 among them) do not."""
+    """``value`` as a plain Python int, the form in which settings are stored.
+
+    NumPy integers are converted; bools (NumPy's too) and floats, NaN and
+    3.0 among them, raise ``ValueError`` naming the setting.
+    """
+    if isinstance(value, (bool, np.bool_)):  # True has an index, 1
+        raise ValueError(f"{name} must be an integer, not a bool")
     try:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a plain Python float: ints and floats, NumPy's too, pass; bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is no Real
+        raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
+    return float(value)
 
 
 def _seed_bits(seed) -> int:
@@ -58,6 +72,21 @@ def _as_1d_float(values, name: str = "series") -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     return arr
+
+
+def _finite_1d(values, name: str = "series") -> np.ndarray:
+    """``values`` as a 1-D float array whose samples are all finite."""
+    arr = _as_1d_float(values, name)
+    if not np.isfinite(arr).all():
+        raise ValueError("invalid samples: input contains non-finite values")
+    return arr
+
+
+def _sample_interval(dt) -> float:
+    dt = _real(dt, "dt")
+    if not 0 < dt < math.inf:  # NaN fails it
+        raise ValueError("dt must be positive and finite")
+    return dt
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -86,11 +115,8 @@ class TimeSeries:
     dt: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _frozen_copy(_as_1d_float(self.samples, "samples")))
-        if not np.isfinite(self.samples).all():
-            raise ValueError("invalid samples: input contains non-finite values")
-        if not 0 < self.dt < math.inf:  # NaN fails it
-            raise ValueError("dt must be positive and finite")
+        object.__setattr__(self, "samples", _frozen_copy(_finite_1d(self.samples, "samples")))
+        object.__setattr__(self, "dt", _sample_interval(self.dt))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -152,7 +178,9 @@ class EmdConfig:
 
     ``ensemble_size=1`` with ``noise_amplitude=0`` reduces the ensemble
     variant to a plain decomposition.  ``max_imfs=None`` caps extraction
-    at ``floor(log2(n)) - 1``, the usual dyadic bound.
+    at ``floor(log2(n)) - 1``, the usual dyadic bound.  Every setting is
+    stored as a plain Python ``int`` or ``float``: NumPy scalars are
+    converted, and a bool raises ``ValueError``.
     """
 
     s_number: int = 4
@@ -165,12 +193,14 @@ class EmdConfig:
     def __post_init__(self):
         # counts are integers (numpy's too) of at least 1: floats, NaN among them, fail
         for name in ("s_number", "max_sift_iters", "max_imfs", "ensemble_size"):
-            value = getattr(self, name)
-            if (name != "max_imfs" or value is not None) and _integer(value, name) < 1:
-                raise ValueError(f"{name} must be an integer of at least 1")
+            if name != "max_imfs" or self.max_imfs is not None:
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
+                if getattr(self, name) < 1:
+                    raise ValueError(f"{name} must be an integer of at least 1")
+        object.__setattr__(self, "noise_amplitude", _real(self.noise_amplitude, "noise_amplitude"))
         if not 0 <= self.noise_amplitude < math.inf:
             raise ValueError("noise_amplitude must be nonnegative and finite")
-        _seed_bits(self.seed)
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
 
 def find_extrema(series) -> tuple[np.ndarray, np.ndarray]:
@@ -374,9 +404,7 @@ def _checked_samples(series) -> np.ndarray:
     x = series.samples if isinstance(series, TimeSeries) else _as_1d_float(series)
     if x.size < _MIN_SAMPLES:
         raise ValueError(f"series too short: decomposition needs at least {_MIN_SAMPLES} samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("invalid samples: input contains non-finite values")
-    return x
+    return _finite_1d(x)
 
 
 def _imf_cap(config: EmdConfig, n: int) -> int:

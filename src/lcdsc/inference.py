@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import fdtr
 
-from .emd import _as_1d_float, _integer
+from .emd import _as_1d_float, _integer, _real
 
 _TINY = 1e-300
 _F_STAT_CAP = 1e308
@@ -123,6 +123,7 @@ def f_test_segment(
     """
     if before is None and after is None:
         raise ValueError("segment test needs at least one neighbor")
+    gamma = _real(gamma, "gamma")
     if not 1 <= gamma < math.inf:
         raise ValueError("gamma must be at least 1 and finite")
     s2_during, n_during = _variance_and_length(during, "during", 2)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emd import TimeSeries, _as_1d_float, _integer, _MIN_SAMPLES, _seed_bits, eemd
+from .emd import (TimeSeries, _as_1d_float, _integer, _MIN_SAMPLES, _real, _sample_interval,
+                  _seed_bits, eemd)
 
 METHOD_NAMES = ("lcdsc", "khigh", "llow", "band", "powerset", "wht", "wit", "none")
 
@@ -34,9 +35,10 @@ class LocalSignalSpec:
 
     def __post_init__(self):
         for name in ("total_len", "a_start", "a_end", "seed"):
-            _integer(getattr(self, name), name)
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 0 <= self.a_start < self.a_end < self.total_len:
             raise ValueError("active interval must satisfy 0 <= a_start < a_end < total_len")
+        object.__setattr__(self, "noise_sigma", _real(self.noise_sigma, "noise_sigma"))
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and nonnegative")
 
@@ -68,6 +70,15 @@ def doppler(u):
     return float(value) if np.isscalar(u) else value
 
 
+def _with_noise(signal: np.ndarray, sigma: float, seed: int, dt: float = 1.0) -> TimeSeries:
+    """``signal`` plus white Gaussian noise of sd ``sigma``, drawn from ``seed``."""
+    sigma = _real(sigma, "sigma")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
+    noise = np.random.default_rng(_seed_bits(seed)).normal(0.0, sigma, signal.size)
+    return TimeSeries(signal + noise, dt)
+
+
 def local_doppler(spec: LocalSignalSpec) -> tuple[TimeSeries, np.ndarray, tuple[int, int]]:
     """Doppler burst rescaled onto the active window plus white noise.
 
@@ -80,26 +91,22 @@ def local_doppler(spec: LocalSignalSpec) -> tuple[TimeSeries, np.ndarray, tuple[
     window = slice(spec.a_start, spec.a_end + 1)
     u = (t[window] - spec.a_start) / (spec.a_end - spec.a_start)
     truth[window] = doppler(u)
-    rng = np.random.default_rng(_seed_bits(spec.seed))
-    noisy = truth + rng.normal(0.0, spec.noise_sigma, spec.total_len)
-    return TimeSeries(noisy), truth, (spec.a_start, spec.a_end)
+    return _with_noise(truth, spec.noise_sigma, spec.seed), truth, (spec.a_start, spec.a_end)
 
 
 def chirp(t_len: int, f0: float, f1: float, sigma: float = 0.0, seed: int = 0, dt: float = 1.0) -> TimeSeries:
     """Unit-amplitude linear chirp sweeping f0 to f1, plus white noise."""
-    if not 0 < dt < math.inf:  # NaN fails it
-        raise ValueError("dt must be positive and finite")
-    if _integer(t_len, "t_len") < 4:
+    dt = _sample_interval(dt)
+    t_len = _integer(t_len, "t_len")
+    if t_len < 4:
         raise ValueError("chirp needs at least 4 samples")
+    f0, f1 = _real(f0, "f0"), _real(f1, "f1")
     if not (abs(f0) <= 0.5 / dt and abs(f1) <= 0.5 / dt):
         raise ValueError("chirp frequencies must be numbers within the Nyquist limit")
-    if not 0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and nonnegative")
     t = np.arange(t_len) * dt
     duration = t_len * dt
     phase = 2.0 * np.pi * (f0 * t + (f1 - f0) * t * t / (2.0 * duration))
-    rng = np.random.default_rng(_seed_bits(seed))
-    return TimeSeries(np.sin(phase) + rng.normal(0.0, sigma, t_len), dt)
+    return _with_noise(np.sin(phase), sigma, seed, dt)
 
 
 def double_doppler(
@@ -111,10 +118,9 @@ def double_doppler(
     length ``2000 + delta``.  Returns ``(noisy, truth, a1, a2)`` with the
     active windows as half-open ``(start, stop)`` pairs.
     """
-    if _integer(delta, "delta") < 0:
+    delta = _integer(delta, "delta")
+    if delta < 0:
         raise ValueError("delta must be nonnegative")
-    if not 0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and nonnegative")
     n = 2000 + delta
     a1 = (500, 1000)
     a2 = (1000 + delta, 1500 + delta)
@@ -122,9 +128,7 @@ def double_doppler(
     for start, stop in (a1, a2):
         t = np.arange(start, stop)
         truth[start:stop] = doppler((t - start) / (stop - start))
-    rng = np.random.default_rng(_seed_bits(seed))
-    noisy = truth + rng.normal(0.0, sigma, n)
-    return TimeSeries(noisy), truth, a1, a2
+    return _with_noise(truth, sigma, seed), truth, a1, a2
 
 
 def rss(estimate, truth) -> float:
@@ -171,7 +175,8 @@ def grid_spec(cell: tuple[int, float, float], seed: int = 0) -> LocalSignalSpec:
     Raises ``ValueError`` naming the key of a cell that cannot be run.
     """
     t_len, sigma, ratio = cell
-    if _integer(t_len, "T") < _MIN_SAMPLES:
+    t_len = _integer(t_len, "T")
+    if t_len < _MIN_SAMPLES:
         raise ValueError(f"T = {t_len}: the decomposition needs at least {_MIN_SAMPLES} samples")
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma = {sigma:g} must be finite and nonnegative")
@@ -233,8 +238,8 @@ def run_benchmark(
     repeated = sorted({cell for cell in grid if grid.count(cell) > 1})
     if repeated:
         raise ValueError(f"repeated grid cell(s): {', '.join(map(str, repeated))}")
-    _integer(base_seed, "base_seed")
-    if _integer(replicates, "replicates") < 1:
+    base_seed, replicates = _integer(base_seed, "base_seed"), _integer(replicates, "replicates")
+    if replicates < 1:
         raise ValueError("replicates must be at least 1")
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}: the ensemble runs on "

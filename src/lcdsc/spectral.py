@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .emd import _as_1d_float
+from .emd import _as_1d_float, _finite_1d, _sample_interval
 
 
 def analytic_signal(imf) -> np.ndarray:
@@ -23,8 +23,7 @@ def analytic_signal(imf) -> np.ndarray:
     x = _as_1d_float(imf, "imf")
     if x.size < 4:
         raise ValueError("series too short: analytic signal needs at least 4 samples")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("invalid samples: input contains non-finite values")
+    x = _finite_1d(x)
     n = x.size
     weights = np.zeros(n)
     weights[0] = 1.0
@@ -49,8 +48,7 @@ def instantaneous_frequency(imf, dt: float = 1.0) -> np.ndarray:
     Central finite differences in the interior, one-sided at the ends,
     divided by ``2*pi*dt``.
     """
-    if not 0 < dt < np.inf:  # NaN fails it
-        raise ValueError("dt must be positive and finite")
+    dt = _sample_interval(dt)
     z = analytic_signal(imf)
     phase = np.unwrap(np.arctan2(z.imag, z.real))
     return np.gradient(phase, dt) / (2.0 * np.pi)

@@ -342,3 +342,9 @@ class TestIntervalThresholdMatchesPerIntervalLoop:
             if rng.random() < 0.3:
                 x[: int(rng.integers(0, n + 1))] = 0.0  # leading zeros
             self.check(x)
+
+
+@pytest.mark.parametrize("length", [0, 39, 41])
+def test_each_rejection_is_reached(seven_imfs, length):
+    with pytest.raises(ValueError, match="truth length does not match the decomposition"):
+        oracle_select(seven_imfs, np.zeros(length), "band")

@@ -160,6 +160,10 @@ class TestChangePointSet:
         with pytest.raises(ValueError, match="n must be an integer"):
             ChangePointSet((3,), 0.0).segments(10.0)
 
+    def test_numpy_integer_length_gives_int_bounds(self):
+        segments = ChangePointSet((3,), 0.0).segments(np.int16(10))
+        assert segments == [(0, 3), (4, 9)] and all(type(b) is int for seg in segments for b in seg)
+
 
 class TestPenaltyValue:
     def test_no_change_baselines(self):
@@ -194,7 +198,7 @@ class TestPenaltyValue:
     def test_aic_requires_beta(self):
         with pytest.raises(ValueError, match="beta"):
             Penalty("aic")
-        for bad in (math.nan, math.inf):
+        for bad in (math.nan, math.inf, True, np.True_):
             with pytest.raises(ValueError, match="beta"):
                 Penalty("aic", bad)
         with pytest.raises(ValueError, match="unknown penalty"):
@@ -352,10 +356,10 @@ class TestDetect:
             detect_changepoints(np.ones(15), Penalty("bic"), 10)
         with pytest.raises(ValueError, match="min_seg_len"):
             detect_changepoints(np.ones(15), Penalty("bic"), 1)
-        for bad in (2.5, math.nan, 3.0):
+        for bad in (2.5, math.nan, 3.0, True, np.True_):
             with pytest.raises(ValueError, match="min_seg_len must be an integer"):
                 detect_changepoints(np.ones(30), Penalty("bic"), bad)
-        for bad in (math.nan, math.inf):
+        for bad in (math.nan, math.inf, True, np.True_):
             with pytest.raises(ValueError, match="penalty_scale"):
                 detect_changepoints(np.ones(30), Penalty("bic"), 10, penalty_scale=bad)
 
@@ -375,6 +379,13 @@ class TestDetect:
     def test_huge_finite_penalty_finds_no_changes(self):
         x = alternating_instance(3)
         assert detect_changepoints(x, Penalty("aic", 1e300), 5).taus == ()
+
+    @pytest.mark.parametrize("msl", [np.int16(5), np.int8(5)])
+    def test_numpy_integer_min_seg_len_is_its_value(self, msl):
+        # a NumPy scalar once took part in the block arithmetic and overflowed its type
+        x = np.random.default_rng(6).normal(0, 1, 300) * np.repeat([1.0, 3.0, 1.0], 100)
+        plain = detect_changepoints(x, Penalty("mbic"), 5)
+        assert detect_changepoints(x, Penalty("mbic"), msl) == plain
 
     def test_segments_layout(self):
         x = alternating_instance(1)
@@ -432,3 +443,13 @@ class TestInvariants:
             want = enumerate_best(x, penalty, 3)
             if len(got.taus) <= 3:
                 assert got.total_cost <= want[0]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: SegStats.from_series([1.0, math.nan, 2.0]), "input contains non-finite values"),
+    (lambda: segment_cost(SegStats.from_series(np.arange(10.0)), 0, 10), "segment out of bounds"),
+    (lambda: segment_cost(SegStats.from_series(np.arange(10.0)), -1, 5), "segment out of bounds"),
+], ids=["non-finite-series", "end-past-the-series", "negative-start"])
+def test_each_rejection_is_reached(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

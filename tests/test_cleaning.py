@@ -419,11 +419,29 @@ class TestConfigValidation:
             LcdscConfig(alpha=0.0)
         with pytest.raises(ValueError):
             LcdscConfig(min_seg_len=1)
-        for bad in (2.5, math.nan, 3.0):
+        for bad in (2.5, math.nan, 3.0, True, np.True_):
             with pytest.raises(ValueError, match="min_seg_len must be an integer"):
                 LcdscConfig(min_seg_len=bad)
         with pytest.raises(ValueError):
             LcdscConfig(penalty_scale=0.0)
+        for name in ("gamma", "alpha", "penalty_scale"):
+            for bad in (True, np.True_):  # True passed every range check as 1
+                with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                    LcdscConfig(**{name: bad})
+
+    def test_numpy_scalars_are_stored_as_plain_numbers(self):
+        config = LcdscConfig(min_seg_len=np.int16(5), gamma=np.float32(1.5), alpha=np.float64(0.05),
+                             penalty_scale=np.int64(2))
+        assert config == LcdscConfig(min_seg_len=5, gamma=1.5, alpha=0.05, penalty_scale=2.0)
+        assert [type(config.min_seg_len), type(config.gamma), type(config.alpha),
+                type(config.penalty_scale)] == [int, float, float, float]
+
+    def test_numpy_integer_min_seg_len_cleans_as_its_value(self):
+        noisy, _, _ = local_doppler(LocalSignalSpec(600, 240, 360, 0.2, seed=3))
+        got = lcdsc_clean(noisy, LcdscConfig(emd=FAST_EMD, min_seg_len=np.int16(5)))
+        want = lcdsc_clean(noisy, LcdscConfig(emd=FAST_EMD, min_seg_len=5))
+        assert got.changepoints == want.changepoints and got.decisions == want.decisions
+        assert np.array_equal(got.cleaned_signal, want.cleaned_signal)
 
     @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
     def test_include_residual_is_stored_as_a_bool(self, value):
@@ -444,3 +462,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="workers must be 1"):
             run_benchmark(["lcdsc"], [(600, 0.2, 0.25)], 1, 0, LcdscConfig(emd=FAST_EMD),
                           workers=workers)
+
+
+@pytest.mark.parametrize("decisions", [
+    [decision_for(1, 0, 28, True), decision_for(1, 29, 59, True)],
+    [decision_for(1, 0, 29, True), decision_for(2, 30, 58, True)],
+], ids=["first-segment-short", "last-segment-short"])
+def test_each_rejection_is_reached(decisions):
+    with pytest.raises(ValueError, match="decision bounds do not match the segment layout"):
+        clean_imf(np.ones(60), ChangePointSet((29,), 0.0), decisions)

@@ -582,6 +582,20 @@ class TestClean:
                      "changepoints.csv", "imfs.csv", "amplitudes.csv"):
             assert read(out1 / name) == read(out2 / name), name
 
+    def test_numpy_settings_write_the_plain_report(self, sim_dir, tmp_path):
+        # a NumPy scalar in the config once made the report's JSON encoder raise TypeError
+        noisy = ingest(str(sim_dir / "noisy.csv"))
+        for name, emd in (
+            ("numpy", EmdConfig(max_sift_iters=np.int32(50), ensemble_size=np.int32(3), seed=5)),
+            ("plain", EmdConfig(max_sift_iters=50, ensemble_size=3, seed=5)),
+        ):
+            report = lcdsc_clean(noisy, LcdscConfig(emd=emd))
+            cli._write_report_bundle(report, str(tmp_path / name))
+        names = sorted(os.listdir(tmp_path / "plain"))
+        assert names == sorted(os.listdir(tmp_path / "numpy")) and "report.json" in names
+        for name in names:
+            assert read(tmp_path / "numpy" / name) == read(tmp_path / "plain" / name), name
+
     def test_imfs_are_numbered_by_position(self, sim_dir, tmp_path):
         """keep_subset, imfs.csv and report.json all read IMF j as d.imfs[j - 1]."""
         out = tmp_path / "o"
@@ -1013,3 +1027,11 @@ class TestDispatchLevel:
         assert files[0] == files[1] and len(files[0]) == 1 + 3 + 6 + 1
         for rel in files[0]:
             assert read(tmp_path / "default" / rel) == read(tmp_path / "baseline" / rel), rel
+
+
+@pytest.mark.parametrize("fmt", ["xml", "CSV", ""])
+def test_each_rejection_is_reached(tmp_path, fmt):
+    path = tmp_path / "x.csv"
+    path.write_text("0,1\n1,2\n2,3\n3,4\n")
+    with pytest.raises(cli.UsageError, match="unknown input format"):
+        ingest(str(path), fmt)

@@ -656,7 +656,11 @@ class TestConfigValidation:
         nan = float("nan")
         for name, bad in (("s_number", nan), ("max_sift_iters", nan), ("ensemble_size", 2.5),
                           ("max_imfs", nan), ("max_imfs", 3.0), ("max_sift_iters", 0),
-                          ("seed", 1.5), ("seed", nan), ("seed", 3.0)):
+                          ("seed", 1.5), ("seed", nan), ("seed", 3.0),
+                          # a bool is no count: True once ran a one-trial ensemble
+                          ("ensemble_size", True), ("s_number", np.True_), ("max_imfs", True),
+                          ("max_sift_iters", np.True_), ("seed", False), ("noise_amplitude", True),
+                          ("noise_amplitude", np.False_)):
             with pytest.raises(ValueError, match=name):
                 EmdConfig(**{name: bad})
         EmdConfig(s_number=np.int64(3), ensemble_size=np.int32(2), max_imfs=np.int64(4))
@@ -667,6 +671,19 @@ class TestConfigValidation:
         for bad in (0.0, -1.0, nan, float("inf")):
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 TimeSeries([1.0, 2.0], dt=bad)
+        for bad in (True, np.True_):
+            with pytest.raises(ValueError, match="dt must be a real number"):
+                TimeSeries([1.0, 2.0], dt=bad)
+
+    def test_numpy_scalars_are_stored_as_plain_numbers(self):
+        config = EmdConfig(s_number=np.int64(3), max_sift_iters=np.int16(40), max_imfs=np.int64(4),
+                           ensemble_size=np.int32(2), noise_amplitude=np.float32(0.5),
+                           seed=np.uint64(7))
+        assert config == EmdConfig(3, 40, 4, 2, 0.5, 7)
+        assert all(type(getattr(config, name)) is int
+                   for name in ("s_number", "max_sift_iters", "max_imfs", "ensemble_size", "seed"))
+        assert type(config.noise_amplitude) is float
+        assert type(TimeSeries([1.0, 2.0], dt=np.float32(0.5)).dt) is float
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_time_series_samples_are_finite(self, bad):
@@ -677,3 +694,14 @@ class TestConfigValidation:
         x = np.sin(np.arange(300) / 3.0) + np.random.default_rng(0).normal(0.0, 0.3, 300)
         a = eemd(x, EmdConfig(ensemble_size=3, seed=np.int64(3)))
         assert bitwise_equal(a, eemd(x, EmdConfig(ensemble_size=3, seed=3)))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: emd(np.ones((4, 4))), "series must be one-dimensional"),
+    (lambda: eemd(np.ones((2, 8)), EmdConfig(ensemble_size=1)), "series must be one-dimensional"),
+    (lambda: find_extrema(np.ones((3, 3))), "series must be one-dimensional"),
+    (lambda: TimeSeries(np.ones((2, 4))), "samples must be one-dimensional"),
+], ids=["emd", "eemd", "find_extrema", "TimeSeries"])
+def test_each_rejection_is_reached(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from lcdsc import (
+    SegmentDecision,
     f_cdf,
     f_test_segment,
     holm_bonferroni,
@@ -195,6 +197,9 @@ class TestFTestSegment:
             f_test_segment((1.0, 10), (1.0, 10), None, 0.5)
         with pytest.raises(ValueError, match="gamma"):
             f_test_segment((1.0, 10), (1.0, 10), None, float("nan"))
+        for bad in (True, np.True_):
+            with pytest.raises(ValueError, match="gamma must be a real number"):
+                f_test_segment((1.0, 10), (1.0, 10), None, bad)
         with pytest.raises(ValueError):
             f_test_segment((1.0, 10), (1.0, 1), None, 1.0)
 
@@ -215,6 +220,12 @@ class TestFTestSegment:
     def test_numpy_lengths_pass(self):
         t = f_test_segment((1.0, np.int64(30)), (2.0, np.int32(20)), None, 1.0)
         assert (t.n_before, t.n_during) == (30, 20)
+
+    def test_numpy_gamma_tests_as_its_value(self):
+        # a float32 gamma once made a float32 statistic that overflowed on the cast
+        t = f_test_segment((2.0, 40), (1.0, 40), None, gamma=np.float32(1.1))
+        assert t == f_test_segment((2.0, 40), (1.0, 40), None, gamma=float(np.float32(1.1)))
+        assert type(t.f_stat) is float
 
 
 class TestHolm:
@@ -298,3 +309,20 @@ class TestHolm:
                 false_hits += 1
         bound = alpha + 3 * math.sqrt(alpha * (1 - alpha) / runs)
         assert false_hits / runs <= bound
+
+
+_TEST = f_test_segment((1.0, 20), (1.0, 20), None)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: replace(_TEST, p_value=1.5), r"p_value must lie in \[0, 1\]"),
+    (lambda: replace(_TEST, p_value=math.nan), r"p_value must lie in \[0, 1\]"),
+    (lambda: replace(_TEST, f_stat=-1.0), "f_stat must be nonnegative"),
+    (lambda: SegmentDecision(_TEST, True, _TEST.p_value), "significant decisions require"),
+    (lambda: sample_variance(np.arange(5.0), 0, 5), "segment out of bounds"),
+    (lambda: sample_variance(np.arange(5.0), -1, 2), "segment out of bounds"),
+], ids=["p-above-one", "p-nan", "negative-statistic", "significant-at-threshold",
+        "end-past-the-series", "negative-start"])
+def test_each_rejection_is_reached(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -79,6 +79,7 @@ class TestLocalDoppler:
 
     @pytest.mark.parametrize("name, args", [
         ("total_len", (100.5, 20, 40)), ("a_start", (100, 20.0, 40)), ("a_end", (100, 20, 40.5)),
+        ("a_start", (100, True, 40)), ("a_end", (100, 20, np.True_)),
     ])
     def test_positions_must_be_integers(self, name, args):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
@@ -90,6 +91,16 @@ class TestLocalDoppler:
         assert np.array_equal(a.samples, b.samples)
         with pytest.raises(ValueError, match="seed must be an integer"):
             LocalSignalSpec(100, 20, 40, 0.1, seed=1.5)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            LocalSignalSpec(100, 20, 40, 0.1, seed=True)
+
+    def test_numpy_scalars_are_stored_as_plain_numbers(self):
+        spec = LocalSignalSpec(np.int16(100), np.int64(20), np.int32(40), np.float32(0.5),
+                               np.uint8(4))
+        assert spec == LocalSignalSpec(100, 20, 40, 0.5, 4)
+        assert [type(v) for v in vars(spec).values()] == [int, int, int, float, int]
+        with pytest.raises(ValueError, match="noise_sigma must be a real number"):
+            LocalSignalSpec(100, 20, 40, True)
 
 
 class TestChirp:
@@ -126,6 +137,20 @@ class TestChirp:
     def test_length_must_be_an_integer(self):
         with pytest.raises(ValueError, match="t_len must be an integer"):
             chirp(100.5, 0.01, 0.1)
+        with pytest.raises(ValueError, match="t_len must be an integer"):
+            chirp(np.True_, 0.01, 0.1)
+
+    @pytest.mark.parametrize("name", ["f0", "f1", "sigma", "dt"])
+    def test_a_bool_is_no_real_number(self, name):
+        kwargs = dict(t_len=100, f0=0.01, f1=0.1, sigma=0.1, dt=0.5)
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            chirp(**{**kwargs, name: True})
+
+    def test_numpy_scalars_are_their_values(self):
+        a = chirp(np.int16(300), np.float32(0.25), 0.5, np.float64(0.2), np.int8(3),
+                  np.float32(0.5))
+        b = chirp(300, float(np.float32(0.25)), 0.5, 0.2, 3, 0.5)
+        assert np.array_equal(a.samples, b.samples) and type(a.dt) is float
 
 
 class TestDoubleDoppler:
@@ -153,6 +178,17 @@ class TestDoubleDoppler:
     def test_delta_must_be_an_integer(self):
         with pytest.raises(ValueError, match="delta must be an integer"):
             double_doppler(200.0, 0.2)
+        with pytest.raises(ValueError, match="delta must be an integer"):
+            double_doppler(True, 0.2)
+        with pytest.raises(ValueError, match="sigma must be a real number"):
+            double_doppler(200, True)
+
+    def test_numpy_integer_delta_is_its_value(self):
+        # 2000 + np.int16(31000) once overflowed to a negative length
+        a, truth_a, *windows_a = double_doppler(np.int16(31000), 0.2)
+        b, truth_b, *windows_b = double_doppler(31000, 0.2)
+        assert np.array_equal(a.samples, b.samples) and np.array_equal(truth_a, truth_b)
+        assert windows_a == windows_b
 
 
 class TestRss:
@@ -253,6 +289,8 @@ class TestRunBenchmark:
     def test_replicates_must_be_an_integer(self):
         with pytest.raises(ValueError, match="replicates must be an integer"):
             run_benchmark(["none"], [(100, 0.2, 0.25)], 2.5)
+        with pytest.raises(ValueError, match="replicates must be an integer"):
+            run_benchmark(["none"], [(100, 0.2, 0.25)], True)
 
     def test_numpy_integer_base_seed_is_its_value(self):
         config = LcdscConfig(emd=EmdConfig(ensemble_size=2))
@@ -307,3 +345,17 @@ class TestRunBenchmark:
         )
         keys = [(r.t_len, r.sigma, r.param, r.method, r.replicate) for r in results]
         assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: chirp(3, 0.01, 0.1), "chirp needs at least 4 samples"),
+    (lambda: chirp(100, 0.01, 0.1, sigma=-1.0), "sigma must be finite and nonnegative"),
+    (lambda: chirp(100, 0.01, 0.1, sigma=math.nan), "sigma must be finite and nonnegative"),
+    (lambda: double_doppler(10, math.inf), "sigma must be finite and nonnegative"),
+    (lambda: separability_check(np.zeros(100), (50, 40), (60, 80)), "windows must be ordered"),
+    (lambda: separability_check(np.zeros(100), (10, 40), (60, 101)), "windows must be ordered"),
+], ids=["short-chirp", "negative-sigma", "nan-sigma", "infinite-sigma", "reversed-window",
+        "window-past-the-series"])
+def test_each_rejection_is_reached(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
