@@ -83,15 +83,47 @@ _CSV_BODY = re.compile(rb"[0-9+\-.eE,\n]*")
 _ROW_TEXT = re.compile(rb"[^\n]")
 
 
-def _numeric_series(fmt: str, raw: bytes) -> TimeSeries | None:
+def _row_no(lines: Iterable, k: int) -> int:
+    """The file line number of the ``k``-th non-blank line of ``lines``, blank lines counted."""
+    return [i for i, ln in enumerate(lines, start=1) if ln.strip()][k]
+
+
+def _series(path: str, data: np.ndarray, row_of) -> TimeSeries:
+    """The series of ``data``, one row per sample: ``value``, or ``t, value`` in csv.
+
+    Checks finite samples, a positive first step that does not overflow,
+    uniform spacing and ``_MIN_SAMPLES`` samples, in that order, naming the
+    first row that breaks a rule; ``row_of(i)`` is the line of sample ``i``.
+    """
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}: row {row_of(finite.argmin())}: non-finite value")
+    dt = 1.0
+    if data.shape[1] == 2 and len(data) > 1:  # fewer samples fail the length check
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step fails a check
+            steps = np.diff(data[:, 0])
+            dt = float(steps[0])
+            steps -= dt
+            bad = np.abs(steps, out=steps) > 1e-6 * abs(dt)
+        if dt <= 0:
+            raise DataError(f"{path}: row {row_of(1)}: time column must be increasing")
+        if dt == math.inf:
+            raise DataError(f"{path}: row {row_of(1)}: time step overflows")
+        if bad.any():
+            raise DataError(f"{path}: row {row_of(bad.argmax() + 1)}: non-uniform sample spacing")
+    if len(data) < _MIN_SAMPLES:
+        raise DataError(f"{path}: the decomposition needs at least {_MIN_SAMPLES} samples, "
+                        f"got {len(data)}")
+    return TimeSeries(data[:, -1], dt)
+
+
+def _numeric_series(path: str, fmt: str, raw: bytes) -> TimeSeries | None:
     """The series ``np.loadtxt`` reads from the file bytes ``raw``, or None for the per-row reader.
 
-    Only plain numeric text qualifies (see ``ingest``).  Every value
-    check of the per-row reader is repeated on arrays with the same
-    formulas, and any failure returns None, so that the per-row reader
-    names the fault.  The csv field limit is screened by line length: a
-    field over it lies on a line over it, and any csv with such a line
-    returns None.
+    Only plain numeric text that ``loadtxt`` parses into the format's
+    columns qualifies (see ``ingest``); ``_series`` checks the values.
+    The csv field limit is screened by line length: a field over it lies
+    on a line over it, and any csv with such a line returns None.
     """
     bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
     start = _NEWLINES.match(raw, bom).end()
@@ -114,29 +146,17 @@ def _numeric_series(fmt: str, raw: bytes) -> TimeSeries | None:
         ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
         if np.diff(ends, prepend=-1, append=len(raw)).max() > csv.field_size_limit() + 1:
             return None
+    skip = raw.count(b"\n", bom, start)  # loadtxt counts blank lines too
     lines = io.BytesIO(raw)  # shares the bytes; a StringIO would hold 4 bytes a character
     lines.seek(bom)
     try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                          skiprows=raw.count(b"\n", bom, start))  # loadtxt counts blank lines too
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=skip)
     except ValueError:
         return None
-    if data.shape[0] < _MIN_SAMPLES or data.shape[1] != (1 if fmt == "plain" else 2):
+    if data.shape[1] != (1 if fmt == "plain" else 2):
         return None
-    if not np.isfinite(data).all():
-        return None
-    if fmt == "plain":
-        return TimeSeries(data[:, 0], 1.0)
-    ts = data[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step fails a check
-        dt = float(ts[1] - ts[0])
-        if not 0 < dt < math.inf:
-            return None
-        steps = np.diff(ts)
-        steps -= dt
-        if (np.abs(steps, out=steps) > 1e-6 * abs(dt)).any():
-            return None
-    return TimeSeries(data[:, 1], dt)
+    lines.seek(start)  # the data lines, for the one row an error names
+    return _series(path, data, lambda i: skip + _row_no(lines, i))
 
 
 def ingest(path: str, fmt: str = "auto") -> TimeSeries:
@@ -152,11 +172,11 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
     Plain numeric text goes to NumPy's C reader (``np.loadtxt``), which
     reads it without a Python object per row: ASCII text with no ``"``
     and no line boundary but ``\\n``, whose lines after an optional csv
-    header hold only digits, ``+-.eE`` and, in csv, commas.  Any other
-    text, a csv with a line longer than the ``csv`` module's field limit,
-    and any text that fails a check there, goes to the per-row
-    reader, which writes every error message; the series, ``dt`` and
-    messages are the same either way.
+    header hold only digits, ``+-.eE`` and, in csv, commas.  Other text,
+    a csv with a line over the ``csv`` module's field limit, and text
+    ``loadtxt`` cannot parse go to the per-row reader, which reports a
+    parse fault before a value fault.  Both hand their columns to one set
+    of value checks, so the series, ``dt`` and messages are the same.
     """
     if fmt == "auto":
         fmt = "csv" if path.lower().endswith(".csv") else "plain"
@@ -167,7 +187,7 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
             raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
-    series = _numeric_series(fmt, raw)
+    series = _numeric_series(path, fmt, raw)
     if series is not None:
         return series
     try:
@@ -179,30 +199,24 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
 
 
 def _row_series(path: str, fmt: str, content: str) -> TimeSeries:
-    """The per-row reader of ``ingest``: one Python float per field, every error named."""
+    """The per-row reader of ``ingest``: one Python float per field, parse faults named first."""
     lines = [ln for ln in content.splitlines() if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
 
     def row_no(k: int) -> int:
-        """The file line number of ``lines[k]``, blank lines counted; only errors need it."""
-        return [i for i, ln in enumerate(content.splitlines(), start=1) if ln.strip()][k]
+        return _row_no(content.splitlines(), k)
 
-    values = []
+    numbers, rows, start = [], [], 0
     if fmt == "plain":
-        dt = 1.0
         for k, line in enumerate(lines):
             text = line.strip()
             try:
-                value = float(text)
+                numbers.append(float(text))
             except ValueError:
                 raise DataError(f"{path}: row {row_no(k)}: not a number: {text!r}") from None
-            if not math.isfinite(value):
-                raise DataError(f"{path}: row {row_no(k)}: non-finite value")
-            values.append(value)
     else:
         reader = csv.reader(lines)
-        rows = []
         try:
             for row in reader:
                 if reader.line_num != len(rows) + 1:  # the row took more than its own line
@@ -211,35 +225,20 @@ def _row_series(path: str, fmt: str, content: str) -> TimeSeries:
                 rows.append(row)
         except csv.Error as exc:  # a field over csv.field_size_limit(), say
             raise DataError(f"{path}: row {row_no(reader.line_num - 1)}: {exc}") from None
-        start = 0
         try:
             float(rows[0][0])
         except (ValueError, IndexError):
             start = 1  # header row
-        ts = []
         for k, row in enumerate(rows[start:], start=start):
             if len(row) != 2:
                 raise DataError(f"{path}: row {row_no(k)}: expected 2 columns, got {len(row)}")
             try:
-                t, v = float(row[0]), float(row[1])
+                numbers += float(row[0]), float(row[1])
             except ValueError:
                 raise DataError(f"{path}: row {row_no(k)}: not a number") from None
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise DataError(f"{path}: row {row_no(k)}: non-finite value")
-            ts.append(t)
-            values.append(v)
-        dt = ts[1] - ts[0] if len(ts) > 1 else 1.0  # fewer samples fail the length check
-        if dt <= 0:
-            raise DataError(f"{path}: row {row_no(start + 1)}: time column must be increasing")
-        if dt == math.inf:
-            raise DataError(f"{path}: row {row_no(start + 1)}: time step overflows")
-        for i in range(1, len(ts)):
-            if abs((ts[i] - ts[i - 1]) - dt) > 1e-6 * abs(dt):
-                raise DataError(f"{path}: row {row_no(start + i)}: non-uniform sample spacing")
-    if len(values) < _MIN_SAMPLES:
-        raise DataError(f"{path}: the decomposition needs at least {_MIN_SAMPLES} samples, "
-                        f"got {len(values)}")
-    return TimeSeries(values, dt)
+    data = np.array(numbers, dtype=float).reshape(-1, 1 if fmt == "plain" else 2)
+    del numbers, rows  # freed before the value checks
+    return _series(path, data, lambda i: row_no(start + i))
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:

@@ -154,14 +154,14 @@ def f_test_segment(
     )
 
 
-def _checked_p_values(p_values, alpha: float) -> list[float]:
-    """The p-values as floats, each in [0, 1]; NaN fails both checks."""
+def _checked_p_values(p_values, alpha: float) -> tuple[list[float], float]:
+    """The p-values as floats, each in [0, 1], and ``alpha`` as a float; NaN fails both checks."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     ps = [float(p) for p in p_values]
     if not all(0.0 <= p <= 1.0 for p in ps):
         raise ValueError("p-values must lie in [0, 1]")
-    return ps
+    return ps, float(alpha)
 
 
 def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
@@ -172,7 +172,7 @@ def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
     (stable sort), so callers should present tests in a deterministic
     order.  The ranks and thresholds are those of ``holm_thresholds``.
     """
-    ps = _checked_p_values(p_values, alpha)
+    ps, alpha = _checked_p_values(p_values, alpha)
     thresholds = holm_thresholds(ps, alpha)
     # the walk visits (p, input index) pairs in ascending order; it rejects
     # every pair before the first that fails its threshold
@@ -182,7 +182,7 @@ def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
 
 def holm_thresholds(p_values, alpha: float = 0.05) -> list[float]:
     """Each hypothesis's step-down threshold ``alpha/(K - rank)``, input order."""
-    ps = _checked_p_values(p_values, alpha)
+    ps, alpha = _checked_p_values(p_values, alpha)
     k = len(ps)
     order = sorted(range(k), key=lambda i: ps[i])
     thresholds = [0.0] * k

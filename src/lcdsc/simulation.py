@@ -160,7 +160,8 @@ def separability_check(cleaned_imf, a1: tuple[int, int], a2: tuple[int, int]) ->
 
 def doppler_grid(t_lens, sigmas, localities=(0.25,)) -> list[tuple[int, float, float]]:
     """Cross product of lengths, noise levels, and locality ratios."""
-    return [(_integer(t, "T"), float(s), float(r)) for t in t_lens for s in sigmas for r in localities]
+    return [(_integer(t, "T"), _real(s, "sigma"), _real(r, "locality"))
+            for t in t_lens for s in sigmas for r in localities]
 
 
 def instance_seed(base_seed: int, cell_index: int, replicate: int) -> int:

@@ -192,7 +192,7 @@ class TestIngest:
         path = tmp_path / name
         path.write_bytes(text.encode())
         fmt = "csv" if name.endswith(".csv") else "plain"
-        assert cli._numeric_series(fmt, text.encode()) is None
+        assert cli._numeric_series(str(path), fmt, text.encode()) is None
         series = ingest(str(path))
         assert series.samples.tobytes() == cli._row_series(str(path), fmt, text).samples.tobytes()
         assert len(series) == 4
@@ -212,6 +212,66 @@ class TestIngest:
         assert len(series) == 20000 and size > 400_000
         assert peak <= 3 * size, (peak, size)
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("x.csv", "t,value\n0,1\n1,2\n2,1e999\n3,4\n", "row 4: non-finite value"),
+        ("x.csv", "t,value\n\n0,1\n1,2\n2,3\n", "the decomposition needs at least 4 samples, got 3"),
+        ("x.txt", "1\n2\n1e999\n4\n", "row 3: non-finite value"),
+        ("x.csv", "t,value\n0,1\n1,2\n3,3\n4,4\n", "row 4: non-uniform sample spacing"),
+        ("x.csv", "t,value\n-1.5e308,1\n1.5e308,2\n1.6e308,3\n1.7e308,4\n",
+         "row 3: time step overflows"),
+        ("x.csv", "t,value\n1,1\n0,2\n2,3\n", "row 3: time column must be increasing"),
+        ("x.csv", "1,1\n0,2\n2,3\n", "row 2: time column must be increasing"),
+    ], ids=["overflow-inf", "three-rows", "plain-overflow-inf", "gap", "overflowing-step",
+            "decreasing-header", "decreasing-no-header"])
+    def test_c_reader_names_value_faults(self, tmp_path, capsys, monkeypatch, name, text,
+                                         message):
+        # plain numeric text with a bad value is read once, by the C reader
+        def per_row_reader(*args):
+            raise AssertionError("ingest ran its per-row reader")
+
+        monkeypatch.setattr(cli, "_row_series", per_row_reader)
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("decompose", str(path), "--out-dir", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("x.csv", "t,value\r\n0,1\r\n1,inf\r\n2,x\r\n3,4\r\n", "row 4: not a number"),
+        ("x.txt", "1\n1e999\nx\n4\n", "row 3: not a number: 'x'"),
+    ], ids=["crlf", "plain"])
+    def test_per_row_reader_names_parse_faults_before_value_faults(self, tmp_path, name, text,
+                                                                    message):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        with pytest.raises(cli.DataError, match=message):
+            ingest(str(path))
+
+    def test_value_fault_memory_is_bounded_by_the_file_size(self, tmp_path):
+        assert run_cli("simulate", "doppler", "--T", "20000", "--a-start", "8000",
+                       "--a-end", "12000", "--seed", "1", "--out", str(tmp_path)) == 0
+        lines = (tmp_path / "noisy.csv").read_text().splitlines()
+        dt = float(lines[2].split(",")[0]) - float(lines[1].split(",")[0])
+        for k in range(101, len(lines)):  # the time column jumps by half a step at row 102
+            t, v = lines[k].split(",")
+            lines[k] = f"{float(t) + dt / 2!r},{v}"
+        path = tmp_path / "jump.csv"
+        path.write_text("\n".join(lines) + "\n")
+        message = "row 102: non-uniform sample spacing"
+        with pytest.raises(cli.DataError, match=message):  # imports and caches stay out
+            ingest(str(path))
+        tracemalloc.start()
+        try:
+            with pytest.raises(cli.DataError, match=message):
+                ingest(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 400_000
+        assert peak <= 10 * size, (peak, size)
+
     @settings(deadline=None, max_examples=150)
     @given(st.data())
     def test_c_reader_matches_per_row_reader(self, tmp_path_factory, data):
@@ -220,7 +280,7 @@ class TestIngest:
         raw = (codecs.BOM_UTF8 if data.draw(st.booleans()) else b"") + text.encode()
         path = tmp_path_factory.mktemp("ingest") / f"x.{'csv' if fmt == 'csv' else 'txt'}"
         path.write_bytes(raw)
-        fast = cli._numeric_series(fmt, raw)
+        fast = cli._numeric_series(str(path), fmt, raw)
         assert fast is not None
         reference = cli._row_series(str(path), fmt, text)  # the reader of every other text
         assert fast.samples.tobytes() == reference.samples.tobytes()
@@ -989,6 +1049,21 @@ for argv in (
 ):
     assert main(argv) == 0, argv
 """
+
+
+def test_import_loads_only_the_scipy_subpackages_it_uses():
+    # importing dominates the command's start-up time; a new SciPy subpackage adds to it
+    code = ("import sys, lcdsc, lcdsc.cli\n"
+            "print(sorted(m for m, mod in sys.modules.items() if m.startswith('scipy.')\n"
+            "             and m.count('.') == 1 and not m.startswith('scipy._')\n"
+            "             and hasattr(mod, '__path__')))")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(lcdsc.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["['scipy.linalg',", "'scipy.special']"]
 
 
 def _dispatch_names() -> list[str]:

@@ -276,6 +276,15 @@ class TestHolm:
         ps, alpha = case
         assert holm_bonferroni(ps, alpha) == holm_walk(ps, alpha)
 
+    @pytest.mark.parametrize("alpha, plain", [
+        (np.float64(0.05), 0.05), (np.float32(0.05), float(np.float32(0.05))),
+    ], ids=["float64", "float32"])
+    def test_numpy_alpha_gives_plain_thresholds(self, alpha, plain):
+        thresholds = holm_thresholds([0.01, 0.02], alpha)
+        assert [type(t) for t in thresholds] == [float, float]
+        assert thresholds == holm_thresholds([0.01, 0.02], plain)
+        assert holm_bonferroni([0.01, 0.02], alpha) == holm_bonferroni([0.01, 0.02], plain)
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             holm_bonferroni([0.1], 0.0)

@@ -241,6 +241,13 @@ class TestDopplerGrid:
         with pytest.raises(ValueError, match="T must be an integer"):
             simulation.doppler_grid([t_len], [0.2])
 
+    @pytest.mark.parametrize("sigmas, localities, name", [
+        ([True], [0.25], "sigma"), ([0.2], [np.True_], "locality"),
+    ], ids=["sigma", "locality"])
+    def test_a_bool_is_no_real_number(self, sigmas, localities, name):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            simulation.doppler_grid([100], sigmas, localities)
+
 
 class TestRunBenchmark:
     def test_none_method_matches_noise_energy(self):
