@@ -118,19 +118,16 @@ def _series(path: str, data: np.ndarray, row_of) -> TimeSeries:
 
 
 def _numeric_series(path: str, fmt: str, raw: bytes) -> TimeSeries | None:
-    """The series ``np.loadtxt`` reads from the file bytes ``raw``, or None for the per-row reader.
+    """The series ``np.loadtxt`` reads from ``ingest``'s bytes, or None for the per-row reader.
 
     Only plain numeric text that ``loadtxt`` parses into the format's
     columns qualifies (see ``ingest``); ``_series`` checks the values.
     The csv field limit is screened by line length: a field over it lies
     on a line over it, and any csv with such a line returns None.
     """
-    bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
-    start = _NEWLINES.match(raw, bom).end()
-    if fmt == "plain":
-        body = _PLAIN_BODY
-    else:
-        body = _CSV_BODY
+    start = _NEWLINES.match(raw).end()
+    body = _PLAIN_BODY if fmt == "plain" else _CSV_BODY
+    if fmt == "csv":
         end = raw.find(b"\n", start)
         # any byte decodes; a non-ASCII one then fails the header or the body pattern
         first = (raw[start:end] if end >= 0 else raw[start:]).decode("latin-1")
@@ -146,9 +143,8 @@ def _numeric_series(path: str, fmt: str, raw: bytes) -> TimeSeries | None:
         ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
         if np.diff(ends, prepend=-1, append=len(raw)).max() > csv.field_size_limit() + 1:
             return None
-    skip = raw.count(b"\n", bom, start)  # loadtxt counts blank lines too
+    skip = raw.count(b"\n", 0, start)  # loadtxt counts blank lines too
     lines = io.BytesIO(raw)  # shares the bytes; a StringIO would hold 4 bytes a character
-    lines.seek(bom)
     try:
         data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=skip)
     except ValueError:
@@ -165,18 +161,19 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
     ``csv`` expects ``t,value`` columns (header optional) with uniformly
     spaced ``t`` (1e-6 relative tolerance); ``plain`` expects one float
     per line with an implied unit sample interval.  The file is UTF-8,
-    and a leading byte-order mark is skipped.  Blank lines are skipped,
-    every row is one line, and an error names the row by its line number
-    in the file.  The file is read once, so a pipe or FIFO path works.
+    read once, so a pipe or FIFO path works.  A leading byte-order mark is
+    dropped and ``\\r\\n`` and ``\\r`` line ends become ``\\n`` before
+    either reader sees it.  Blank lines are skipped, every row is one
+    line, and an error names the row by its line number in the file.
 
     Plain numeric text goes to NumPy's C reader (``np.loadtxt``), which
     reads it without a Python object per row: ASCII text with no ``"``
-    and no line boundary but ``\\n``, whose lines after an optional csv
-    header hold only digits, ``+-.eE`` and, in csv, commas.  Other text,
-    a csv with a line over the ``csv`` module's field limit, and text
-    ``loadtxt`` cannot parse go to the per-row reader, which reports a
-    parse fault before a value fault.  Both hand their columns to one set
-    of value checks, so the series, ``dt`` and messages are the same.
+    and no other line boundary (``\\f``, say), whose lines after an
+    optional csv header hold only digits, ``+-.eE`` and, in csv, commas.
+    Other text, a csv with a line over the ``csv`` module's field limit,
+    and text ``loadtxt`` cannot parse go to the per-row reader, which
+    reports a parse fault before a value fault.  Both hand their columns
+    to one set of value checks, so the series, ``dt`` and messages match.
     """
     if fmt == "auto":
         fmt = "csv" if path.lower().endswith(".csv") else "plain"
@@ -187,11 +184,14 @@ def ingest(path: str, fmt: str = "auto") -> TimeSeries:
             raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    raw = raw.removeprefix(codecs.BOM_UTF8)  # one copy a statement, so at most two are held
+    raw = raw.replace(b"\r\n", b"\n")  # each call returns the same object if nothing matches
+    raw = raw.replace(b"\r", b"\n")
     series = _numeric_series(path, fmt, raw)
     if series is not None:
         return series
     try:
-        content = raw.decode("utf-8-sig")
+        content = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
     del raw  # freed before the per-row reader builds its rows

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ def numeric_texts(draw, fmt: str) -> str:
     return text + "\n" if draw(st.booleans()) else text
 
 
+def _per_row_reader(*args):
+    raise AssertionError("ingest ran its per-row reader")
+
+
+def _under_line_ends(cases, ids):
+    """Each ``(name, text, message)`` case with LF, CRLF and CR line ends; LF keeps its id."""
+    return [pytest.param(name, text.replace("\n", end), message, id=case_id + suffix)
+            for (name, text, message), case_id in zip(cases, ids)
+            for suffix, end in [("", "\n"), ("-crlf", "\r\n"), ("-cr", "\r")]]
+
+
 class TestIngest:
     def test_plain(self, tmp_path):
         path = tmp_path / "x.txt"
@@ -171,7 +183,6 @@ class TestIngest:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, text", [
-        ("x.csv", "t,value\r\n0,1\r\n1,2\r\n2,3\r\n3,4\r\n"),
         ("x.csv", "t,value\n0,1_0\n1,2\n2,3\n3,4\n"),
         ("x.csv", "t,value\n0,1\x0c1,2\n2,3\n3,4\n"),
         ("x.csv", "t,value\n0,1\n \t\n1,2\n2,3\n3,4\n"),
@@ -184,7 +195,7 @@ class TestIngest:
         ("x.txt", "1\n2\n 3\n4\n"),
         # two fields within csv's field limit on one line longer than it
         ("x.csv", "t,value\n0,1\n1,2\n2." + "0" * 70_000 + ",3." + "0" * 70_000 + "\n3,4\n"),
-    ], ids=["crlf", "underscore", "form-feed", "whitespace-line", "leading-spaces-line",
+    ], ids=["underscore", "form-feed", "whitespace-line", "leading-spaces-line",
             "quoted-numbers", "space",
             "non-ascii-header", "line-separator", "record-separator", "plain-space",
             "line-over-field-limit"])
@@ -197,11 +208,17 @@ class TestIngest:
         assert series.samples.tobytes() == cli._row_series(str(path), fmt, text).samples.tobytes()
         assert len(series) == 4
 
-    def test_c_reader_memory_is_bounded_by_the_file_size(self, tmp_path):
+    @pytest.mark.parametrize("bom, line_end", [
+        (b"", b"\n"), (b"", b"\r\n"), (b"", b"\r"), (codecs.BOM_UTF8, b"\r\n"),
+    ], ids=["lf", "crlf", "cr", "bom-crlf"])
+    def test_c_reader_memory_is_bounded_by_the_file_size(self, tmp_path, monkeypatch, bom,
+                                                          line_end):
         assert run_cli("simulate", "doppler", "--T", "20000", "--a-start", "8000",
                        "--a-end", "12000", "--seed", "1", "--out", str(tmp_path)) == 0
         path = tmp_path / "noisy.csv"
-        ingest(str(path))  # first-call imports and caches stay out of the peak
+        lf = ingest(str(path))  # first-call imports and caches stay out of the peak
+        path.write_bytes(bom + path.read_bytes().replace(b"\n", line_end))
+        monkeypatch.setattr(cli, "_row_series", _per_row_reader)
         tracemalloc.start()
         try:
             series = ingest(str(path))
@@ -211,8 +228,9 @@ class TestIngest:
         size = path.stat().st_size
         assert len(series) == 20000 and size > 400_000
         assert peak <= 3 * size, (peak, size)
+        assert series.samples.tobytes() == lf.samples.tobytes() and series.dt.hex() == lf.dt.hex()
 
-    @pytest.mark.parametrize("name, text, message", [
+    @pytest.mark.parametrize("name, text, message", _under_line_ends([
         ("x.csv", "t,value\n0,1\n1,2\n2,1e999\n3,4\n", "row 4: non-finite value"),
         ("x.csv", "t,value\n\n0,1\n1,2\n2,3\n", "the decomposition needs at least 4 samples, got 3"),
         ("x.txt", "1\n2\n1e999\n4\n", "row 3: non-finite value"),
@@ -221,15 +239,12 @@ class TestIngest:
          "row 3: time step overflows"),
         ("x.csv", "t,value\n1,1\n0,2\n2,3\n", "row 3: time column must be increasing"),
         ("x.csv", "1,1\n0,2\n2,3\n", "row 2: time column must be increasing"),
-    ], ids=["overflow-inf", "three-rows", "plain-overflow-inf", "gap", "overflowing-step",
-            "decreasing-header", "decreasing-no-header"])
+    ], ["overflow-inf", "three-rows", "plain-overflow-inf", "gap", "overflowing-step",
+        "decreasing-header", "decreasing-no-header"]))
     def test_c_reader_names_value_faults(self, tmp_path, capsys, monkeypatch, name, text,
                                          message):
         # plain numeric text with a bad value is read once, by the C reader
-        def per_row_reader(*args):
-            raise AssertionError("ingest ran its per-row reader")
-
-        monkeypatch.setattr(cli, "_row_series", per_row_reader)
+        monkeypatch.setattr(cli, "_row_series", _per_row_reader)
         path = tmp_path / name
         path.write_bytes(text.encode())
         with warnings.catch_warnings():
@@ -237,10 +252,10 @@ class TestIngest:
             assert run_cli("decompose", str(path), "--out-dir", str(tmp_path / "o")) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name, text, message", [
-        ("x.csv", "t,value\r\n0,1\r\n1,inf\r\n2,x\r\n3,4\r\n", "row 4: not a number"),
+    @pytest.mark.parametrize("name, text, message", _under_line_ends([
+        ("x.csv", "t,value\n0,1\n1,inf\n2,x\n3,4\n", "row 4: not a number"),
         ("x.txt", "1\n1e999\nx\n4\n", "row 3: not a number: 'x'"),
-    ], ids=["crlf", "plain"])
+    ], ["csv", "plain"]))
     def test_per_row_reader_names_parse_faults_before_value_faults(self, tmp_path, name, text,
                                                                     message):
         path = tmp_path / name
@@ -277,15 +292,19 @@ class TestIngest:
     def test_c_reader_matches_per_row_reader(self, tmp_path_factory, data):
         fmt = data.draw(st.sampled_from(["csv", "plain"]))
         text = data.draw(numeric_texts(fmt))
-        raw = (codecs.BOM_UTF8 if data.draw(st.booleans()) else b"") + text.encode()
+        line_end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        bom = data.draw(st.sampled_from(["", "\ufeff"]))
         path = tmp_path_factory.mktemp("ingest") / f"x.{'csv' if fmt == 'csv' else 'txt'}"
-        path.write_bytes(raw)
-        fast = cli._numeric_series(str(path), fmt, raw)
+        path.write_bytes((bom + text.replace("\n", line_end)).encode())
+        fast = cli._numeric_series(str(path), fmt, text.encode())  # ingest's normalised bytes
         assert fast is not None
         reference = cli._row_series(str(path), fmt, text)  # the reader of every other text
         assert fast.samples.tobytes() == reference.samples.tobytes()
         assert type(fast.dt) is float and fast.dt.hex() == reference.dt.hex()
-        assert ingest(str(path), fmt).samples.tobytes() == reference.samples.tobytes()
+        with mock.patch.object(cli, "_row_series", _per_row_reader):
+            series = ingest(str(path), fmt)
+        assert series.samples.tobytes() == reference.samples.tobytes()
+        assert series.dt.hex() == reference.dt.hex()
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_pipe_path_is_read_once(self, monkeypatch):
@@ -293,11 +312,7 @@ class TestIngest:
         read_fd, write_fd = os.pipe()
         with os.fdopen(write_fd, "wb") as fh:
             fh.write(b"t,value\n0,1\n1,2\n2,3\n3,5\n")
-
-        def per_row_reader(*args):
-            raise AssertionError("ingest ran its per-row reader")
-
-        monkeypatch.setattr(cli, "_row_series", per_row_reader)
+        monkeypatch.setattr(cli, "_row_series", _per_row_reader)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # loadtxt warns on a stream without data

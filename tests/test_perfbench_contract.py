@@ -10,8 +10,10 @@ with ``workers=1``.  ``perfbench/run.py`` fails a traced op unless its
 ``emd.trial`` count equals the op's ensemble trials, so ``eemd`` calls
 ``emd`` once per trial and ``emd`` calls ``sift`` once per IMF, both
 through the ``lcdsc.emd`` module globals.  ``cli-long-k12`` runs
-``lcdsc simulate`` and ``lcdsc clean``, which accept only full flag names, and its peak memory
-rests on ``ingest`` reading the simulated CSV with NumPy's C reader.
+``lcdsc simulate`` and ``lcdsc clean``, which accept only full flag names, and
+``ingest`` reads its simulated CSV with NumPy's C reader.  That workload's
+``peak_rss_mb`` is set by the benchmark's own CSV check (op 75-77 MB, check
+82-84 MB), not by the op; a per-row read would still raise the op's memory.
 The ``check`` of ``clean-short-k100`` and ``bench-grid-k12`` reads
 attributes off ``CleaningReport`` and ``BenchResult`` records, so both
 checks run here on small results.
