@@ -56,10 +56,6 @@ from .simulation import (
     run_benchmark,
     separability_check,
 )
-from .spectral import (
-    analytic_signal,
-    instantaneous_amplitude,
-    instantaneous_frequency,
-)
+from .spectral import analytic_signal, instantaneous_amplitude
 
 __version__ = "0.1.0"

@@ -278,7 +278,7 @@ def gamma_sweep(series, gammas, config: LcdscConfig | None = None) -> list[Clean
     ``LcdscConfig`` before the decomposition runs.
     """
     config = config or LcdscConfig()
-    configs = [replace(config, gamma=float(g)) for g in gammas]
+    configs = [replace(config, gamma=g) for g in gammas]
     if not configs:
         raise ValueError("gammas must be nonempty")
     d = eemd(series, config.emd)

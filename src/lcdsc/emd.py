@@ -248,7 +248,7 @@ def _envelope_work(n: int) -> list:
 
 
 def _envelope_from_extrema(
-    x: np.ndarray, maxima: np.ndarray, minima: np.ndarray, work: list | None = None
+    x: np.ndarray, maxima: np.ndarray, minima: np.ndarray, work: list
 ) -> np.ndarray:
     """Mean of the natural-spline envelopes through ``maxima`` and ``minima``.
 
@@ -264,9 +264,9 @@ def _envelope_from_extrema(
     a gather on dense knot sets, a ``repeat`` on sparse ones.  Horner's
     rule then runs in place on the spread rows.
 
-    ``work`` is ``_envelope_work(n)``, for callers that evaluate many
-    envelopes of one length.  The mean returned may be a view into its
-    block, valid until its next use.
+    ``work`` is ``_envelope_work(n)``, made once by a caller that
+    evaluates many envelopes of one length.  The mean returned may be a
+    view into its block, valid until its next use.
     """
     n = x.size
     end = n - 1
@@ -333,8 +333,6 @@ def _envelope_from_extrema(
     np.subtract(maxima[1:], maxima[:-1], out=counts[2 : b - 2])
     np.subtract(minima[1:], minima[:-1], out=counts[b + 3 : -3])
     counts[1], counts[b - 2], counts[b + 2], counts[-3] = u0, n - u3, l0, n - l3
-    if work is None:
-        work = _envelope_work(n)
     grid = work[0]
     if 8 * size > 2 * n:
         # short segments: gathering through one segment index per grid point

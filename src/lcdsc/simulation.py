@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# called as module attributes, so the wrappers perfbench/tracing.py installs are called
+from . import baselines, cleaning
 from .emd import (TimeSeries, _as_1d_float, _integer, _MIN_SAMPLES, _real, _sample_interval,
                   _seed_bits, eemd)
 
@@ -215,15 +217,6 @@ def run_benchmark(
     ensemble runs on the calling thread, and the parameter stays only
     until the benchmark stops passing it.
     """
-    # imported per call, not at module level, so wrappers perfbench/tracing.py installs are called
-    from .baselines import (
-        ORACLE_FAMILIES,
-        oracle_select,
-        wavelet_hard_threshold,
-        wavelet_interval_threshold,
-    )
-    from .cleaning import LcdscConfig, clean_decomposition
-
     methods = [str(m) for m in methods]
     if not methods:
         raise ValueError("methods must list at least one method")
@@ -245,8 +238,9 @@ def run_benchmark(
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}: the ensemble runs on "
                          "the calling thread")
-    config = config or LcdscConfig()
-    thresholds = {"wht": wavelet_hard_threshold, "wit": wavelet_interval_threshold}
+    config = config or cleaning.LcdscConfig()
+    thresholds = {"wht": baselines.wavelet_hard_threshold,
+                  "wit": baselines.wavelet_interval_threshold}
 
     results: list[BenchResult] = []
     for cell_index, cell in enumerate(grid):
@@ -263,10 +257,10 @@ def run_benchmark(
                 if method == "none":
                     value = rss(noisy.samples, truth)
                 elif method == "lcdsc":
-                    report = clean_decomposition(d, replace(config, emd=emd_cfg))
+                    report = cleaning.clean_decomposition(d, replace(config, emd=emd_cfg))
                     value = rss(report.cleaned_signal, truth)
-                elif method in ORACLE_FAMILIES:
-                    _, value = oracle_select(d, truth, method)
+                elif method in baselines.ORACLE_FAMILIES:
+                    _, value = baselines.oracle_select(d, truth, method)
                 else:  # wht or wit
                     est = np.empty_like(d.imfs)
                     for j, imf in enumerate(d.imfs):

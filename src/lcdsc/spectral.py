@@ -1,10 +1,9 @@
-"""Analytic-signal amplitude and frequency of oscillatory components.
+"""Analytic-signal amplitude of oscillatory components.
 
 The analytic signal is built in the frequency domain: zero the negative
 frequency bins, double the strictly positive ones, and keep DC (and the
 Nyquist bin for even lengths) unscaled.  Its modulus is the instantaneous
-amplitude; the derivative of its unwrapped phase is the instantaneous
-frequency.  No boundary extension is applied, so both estimates carry the
+amplitude.  No boundary extension is applied, so the estimate carries the
 usual edge effects and downstream checks should look at interior windows.
 """
 
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .emd import _as_1d_float, _finite_1d, _sample_interval
+from .emd import _as_1d_float, _finite_1d
 
 
 def analytic_signal(imf) -> np.ndarray:
@@ -40,15 +39,3 @@ def instantaneous_amplitude(imf) -> np.ndarray:
     z = analytic_signal(imf)
     # not np.abs(z): that rounds about a third of the samples differently
     return np.hypot(z.real, z.imag)
-
-
-def instantaneous_frequency(imf, dt: float = 1.0) -> np.ndarray:
-    """Instantaneous frequency from the unwrapped analytic phase.
-
-    Central finite differences in the interior, one-sided at the ends,
-    divided by ``2*pi*dt``.
-    """
-    dt = _sample_interval(dt)
-    z = analytic_signal(imf)
-    phase = np.unwrap(np.arctan2(z.imag, z.real))
-    return np.gradient(phase, dt) / (2.0 * np.pi)

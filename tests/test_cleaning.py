@@ -361,6 +361,24 @@ class TestGammaSweep:
         with pytest.raises(ValueError, match="at least 1"):
             gamma_sweep(noisy, [0.5], LcdscConfig(emd=FAST_EMD))
 
+    def test_gammas_are_checked_unconverted_before_decomposing(self, monkeypatch):
+        def no_decomposition(*args):
+            raise AssertionError("decomposed before every gamma was checked")
+
+        monkeypatch.setattr("lcdsc.cleaning.eemd", no_decomposition)
+        noisy = np.sin(np.arange(200.0))
+        with pytest.raises(ValueError, match="gamma must be a real number, not bool"):
+            gamma_sweep(noisy, [2.0, True])
+        with pytest.raises(ValueError, match="gamma must be a real number, not str"):
+            gamma_sweep(noisy, ["2"])
+
+    def test_numpy_scalar_gamma_sweeps_as_a_plain_float(self):
+        noisy, _, _ = local_doppler(LocalSignalSpec(600, 240, 360, 0.2, seed=3))
+        config = LcdscConfig(emd=EmdConfig(ensemble_size=4, seed=3))
+        (narrow,), (plain,) = (gamma_sweep(noisy, [g], config) for g in (np.float32(2.5), 2.5))
+        assert type(narrow.config.gamma) is float and narrow.config == plain.config
+        assert narrow.cleaned_signal.tobytes() == plain.cleaned_signal.tobytes()
+
 
 recordings = st.builds(
     lambda seed, sigma: local_doppler(LocalSignalSpec(400, 150, 250, sigma, seed=seed))[0],

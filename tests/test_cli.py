@@ -263,6 +263,21 @@ class TestIngest:
         with pytest.raises(cli.DataError, match=message):
             ingest(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        ("1\n2\n3\n4\n", "row 1: expected 2 columns, got 1"),
+        ("t,value\n0,1,2\n1,2,3\n2,3,4\n3,4,5\n", "row 2: expected 2 columns, got 3"),
+    ], ids=["one-column", "three-columns"])
+    def test_csv_of_another_column_count_takes_the_per_row_reader(self, tmp_path, text,
+                                                                  message):
+        # loadtxt parses these, into a column count the C reader then turns down
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        assert cli._numeric_series(str(path), "csv", text.encode()) is None
+        with pytest.raises(cli.DataError, match=message):
+            cli._row_series(str(path), "csv", text)
+        with pytest.raises(cli.DataError, match=message):
+            ingest(str(path))
+
     def test_value_fault_memory_is_bounded_by_the_file_size(self, tmp_path):
         assert run_cli("simulate", "doppler", "--T", "20000", "--a-start", "8000",
                        "--a-end", "12000", "--seed", "1", "--out", str(tmp_path)) == 0
@@ -1066,16 +1081,39 @@ for argv in (
 """
 
 
+def _child_env() -> dict[str, str]:
+    """This environment, with the tested package first on a child's import path."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(lcdsc.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_exits_with_the_documented_codes(tmp_path):
+    # `python -m lcdsc.cli` reaches run() through the __main__ guard, as the lcdsc script does
+    sine = tmp_path / "sine.csv"
+    sine.write_bytes(_csv_bytes(_SINE))
+    out = ["--out-dir", str(tmp_path / "o")]
+    for args, want, err in [
+        (["--help"], 0, ""),
+        (["clean", str(tmp_path / "missing.csv"), *out], 2, "lcdsc: data error: cannot read "),
+        (["clean", str(sine), "--gamma", "0.5", *out], 1,
+         "lcdsc: usage error: gamma must be at least 1"),
+    ]:
+        done = subprocess.run([sys.executable, "-m", "lcdsc.cli", *args], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == want, (args, done.stderr)
+        assert done.stderr.startswith(err) and done.stderr.count("\n") == (1 if err else 0)
+    assert done.stdout == "" and not (tmp_path / "o").exists()
+
+
 def test_import_loads_only_the_scipy_subpackages_it_uses():
     # importing dominates the command's start-up time; a new SciPy subpackage adds to it
     code = ("import sys, lcdsc, lcdsc.cli\n"
             "print(sorted(m for m, mod in sys.modules.items() if m.startswith('scipy.')\n"
             "             and m.count('.') == 1 and not m.startswith('scipy._')\n"
             "             and hasattr(mod, '__path__')))")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(lcdsc.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["['scipy.linalg',", "'scipy.special']"]
@@ -1095,9 +1133,8 @@ class TestDispatchLevel:
     @staticmethod
     def run_child(out, disabled: list[str]) -> dict[str, bool]:
         out.mkdir()
-        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-        src = os.path.dirname(os.path.dirname(lcdsc.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = _child_env()
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
         if disabled:
             env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
         done = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD, str(out)], env=env,

@@ -11,7 +11,6 @@ from lcdsc import (
     chirp,
     doppler,
     double_doppler,
-    instantaneous_frequency,
     local_doppler,
     rss,
     run_benchmark,
@@ -109,16 +108,15 @@ class TestChirp:
         t = np.arange(200)
         assert np.allclose(out.samples, np.sin(2 * np.pi * 0.05 * t))
 
-    def test_instantaneous_frequency_is_linear(self):
-        out = chirp(4000, 0.01, 0.1, 0.0, seed=0)
-        freq = instantaneous_frequency(out.samples, 1.0)
-        t = np.arange(4000)
-        interior = slice(200, -200)
-        coeffs = np.polyfit(t[interior], freq[interior], 1)
-        fitted = np.polyval(coeffs, t[interior])
-        resid = freq[interior] - fitted
-        r2 = 1 - np.sum(resid**2) / np.sum((freq[interior] - freq[interior].mean()) ** 2)
-        assert r2 > 0.99
+    def test_matches_the_linear_sweep_closed_form(self):
+        # phase 2*pi*(f0*t + (f1 - f0)*t**2 / (2*D)) over duration D: its frequency
+        # f0 + (f1 - f0)*t/D rises linearly from f0 at t = 0 to f1 at t = D
+        for dt in (1.0, 0.25):
+            out = chirp(4000, 0.01 / dt, 0.1 / dt, 0.0, seed=0, dt=dt)
+            t = np.arange(4000) * dt
+            want = np.sin(2 * np.pi * (0.01 / dt * t + 0.09 / dt * t**2 / (2 * 4000 * dt)))
+            assert out.dt == dt
+            assert np.max(np.abs(out.samples - want)) < 1e-9
 
     def test_seed_reproducible(self):
         a = chirp(300, 0.02, 0.2, 0.5, seed=9)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lcdsc import analytic_signal, instantaneous_amplitude, instantaneous_frequency
+from lcdsc import analytic_signal, instantaneous_amplitude
 
 
 class TestAnalyticSignal:
@@ -57,33 +57,3 @@ class TestInstantaneousAmplitude:
         amp = instantaneous_amplitude(x)
         assert np.all(amp >= 0)
         assert np.all(amp >= np.abs(x) - 1e-9 * (x.max() - x.min()))
-
-
-class TestInstantaneousFrequency:
-    def test_constant_tone(self):
-        t = np.arange(1000)
-        freq = instantaneous_frequency(np.cos(2 * np.pi * 0.05 * t), dt=1.0)
-        interior = slice(100, 900)
-        assert np.max(np.abs(freq[interior] - 0.05)) < 0.005
-
-    def test_invariant_to_amplitude_scaling(self):
-        t = np.arange(500)
-        x = np.cos(2 * np.pi * 0.03 * t)
-        f1 = instantaneous_frequency(x, 1.0)
-        f3 = instantaneous_frequency(3.0 * x, 1.0)
-        assert np.max(np.abs(f3 - f1)) < 1e-12
-
-    def test_chirp_frequency_increases(self):
-        t = np.arange(2000, dtype=float)
-        # frequency sweeps 0.01 -> 0.1 linearly
-        phase = 2 * np.pi * (0.01 * t + (0.09) * t * t / (2 * 2000))
-        freq = instantaneous_frequency(np.sin(phase), dt=1.0)
-        interior = freq[200:-200]
-        # smooth out estimator ripple before checking monotonicity
-        coarse = interior.reshape(-1, 80).mean(axis=1)
-        assert np.all(np.diff(coarse) > 0)
-
-    def test_requires_positive_dt(self):
-        for dt in (0.0, float("inf"), float("nan"), -1.0):
-            with pytest.raises(ValueError, match="dt must be positive and finite"):
-                instantaneous_frequency(np.ones(16), dt=dt)
