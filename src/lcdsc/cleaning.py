@@ -59,6 +59,9 @@ from .spectral import instantaneous_amplitude
 class LcdscConfig:
     """Settings for one cleaning run.
 
+    ``penalty`` is the change-point penalty kind (``"aic"``, ``"bic"`` or
+    ``"mbic"``) and ``beta`` its per-change cost, above 0 for ``aic`` and 0
+    otherwise; both are checked as ``Penalty(penalty, beta)``.
     ``min_seg_len`` counts per-cycle amplitude samples (oscillation
     cycles), so it is scale-free across components.  ``penalty_scale``
     inflates the change-point penalty to offset the residual serial
@@ -69,7 +72,8 @@ class LcdscConfig:
     """
 
     emd: EmdConfig = EmdConfig()
-    penalty: Penalty = Penalty("mbic")
+    penalty: str = "mbic"
+    beta: float = 0.0
     min_seg_len: int = 5
     gamma: float = 1.0
     alpha: float = 0.05
@@ -77,6 +81,9 @@ class LcdscConfig:
     penalty_scale: float = 2.0
 
     def __post_init__(self):
+        if not isinstance(self.emd, EmdConfig):
+            raise ValueError(f"emd must be an EmdConfig, not {type(self.emd).__name__}")
+        object.__setattr__(self, "beta", Penalty(self.penalty, self.beta).beta)
         for name in ("gamma", "alpha", "penalty_scale"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         # each check is written so that NaN fails it
@@ -154,6 +161,7 @@ def _detect_stage(
     """
     n = d.residual.size
     msl = config.min_seg_len
+    penalty = Penalty(config.penalty, config.beta)
     diagnostics = list(d.diagnostics)
     detected = []
     empty = ChangePointSet((), 0.0)
@@ -170,7 +178,7 @@ def _detect_stage(
         # amplitude spikes at the series edges.  Here n > 3 * stride, so
         # one sample lies in each of those periods
         sampled[0], sampled[-1] = amp[stride], amp[n - stride - 1]
-        cps = detect_changepoints(sampled, config.penalty, msl, config.penalty_scale)
+        cps = detect_changepoints(sampled, penalty, msl, config.penalty_scale)
         taus_full = tuple(int((tau + 1) * stride - 1) for tau in cps.taus)
         full_view = ChangePointSet(taus_full, cps.total_cost)
         segments = ()

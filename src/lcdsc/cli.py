@@ -38,7 +38,7 @@ from itertools import chain
 
 import numpy as np
 
-from .changepoint import Penalty
+from .changepoint import _PENALTY_KINDS
 from .cleaning import CleaningReport, LcdscConfig, gamma_sweep, lcdsc_clean
 from .emd import _MIN_SAMPLES, Decomposition, EmdConfig, TimeSeries, eemd
 from .simulation import (
@@ -298,10 +298,6 @@ _SEGMENT_KEYS = {"imf_index": "imf", "seg_start": "start", "seg_end": "end", "p_
 
 
 def _report_doc(report: CleaningReport, files: dict[str, str]) -> dict:
-    config = asdict(report.config)
-    penalty = config.pop("penalty")
-    config = {"emd": config.pop("emd"), "penalty": penalty["kind"], "beta": penalty["beta"],
-              **config}
     changepoints = [{"imf": i + 1, "taus": list(cps.taus)}
                     for i, cps in enumerate(report.changepoints)]
     # SegmentTest's fields in order, four renamed, then the Holm verdict
@@ -309,7 +305,7 @@ def _report_doc(report: CleaningReport, files: dict[str, str]) -> dict:
                  "holm_threshold": dec.holm_threshold, "significant": dec.significant}
                 for dec in report.decisions]
     return {
-        "config": config,
+        "config": asdict(report.config),
         "changepoints": changepoints,
         "segments": segments,
         "eta": sorted(report.significant_imfs),
@@ -380,8 +376,8 @@ _EMD_KEYS = {
 _CLEAN_KEYS = {
     "gamma": _setting(float, f"variance-ratio gate, >= 1 (default {_LCDSC.gamma:g})"),
     "alpha": _setting(float, f"family-wise error rate (default {_LCDSC.alpha})"),
-    "penalty": _setting(str, f"change-point penalty (default {_LCDSC.penalty.kind})",
-                        choices=("aic", "bic", "mbic")),
+    "penalty": _setting(str, f"change-point penalty (default {_LCDSC.penalty})",
+                        choices=_PENALTY_KINDS),
     "beta": _setting(float, "penalty per change point; only with --penalty aic"),
     "minseg": _setting(int, "minimum segment length in amplitude cycles "
                        f"(default {_LCDSC.min_seg_len})"),
@@ -424,13 +420,8 @@ def _user_values(args, keys: dict) -> dict:
 def _clean_config(args, keys: dict) -> LcdscConfig:
     values = _user_values(args, keys)
     emd = {key: values.pop(key) for key in _EMD_KEYS if key in values}
-    kind, beta = values.pop("penalty", None), values.pop("beta", None)
     if "minseg" in values:
         values["min_seg_len"] = values.pop("minseg")
-    if beta is not None and kind != "aic":
-        raise UsageError("beta applies only to the aic penalty")
-    if kind is not None:  # aic without a beta is rejected by Penalty
-        values["penalty"] = Penalty(kind, beta or 0.0)
     return LcdscConfig(emd=EmdConfig(**emd), **values)
 
 

@@ -154,16 +154,6 @@ def f_test_segment(
     )
 
 
-def _checked_p_values(p_values, alpha: float) -> tuple[list[float], float]:
-    """The p-values as floats, each in [0, 1], and ``alpha`` as a float; NaN fails both checks."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    ps = [float(p) for p in p_values]
-    if not all(0.0 <= p <= 1.0 for p in ps):
-        raise ValueError("p-values must lie in [0, 1]")
-    return ps, float(alpha)
-
-
 def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
     """Step-down Holm rejection flags, in the original input order.
 
@@ -172,8 +162,8 @@ def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
     (stable sort), so callers should present tests in a deterministic
     order.  The ranks and thresholds are those of ``holm_thresholds``.
     """
-    ps, alpha = _checked_p_values(p_values, alpha)
-    thresholds = holm_thresholds(ps, alpha)
+    ps = [float(p) for p in p_values]
+    thresholds = holm_thresholds(ps, alpha)  # checks alpha and every p-value
     # the walk visits (p, input index) pairs in ascending order; it rejects
     # every pair before the first that fails its threshold
     stop = min(((p, i) for i, p in enumerate(ps) if not p < thresholds[i]), default=(math.inf, 0))
@@ -181,8 +171,17 @@ def holm_bonferroni(p_values, alpha: float = 0.05) -> list[bool]:
 
 
 def holm_thresholds(p_values, alpha: float = 0.05) -> list[float]:
-    """Each hypothesis's step-down threshold ``alpha/(K - rank)``, input order."""
-    ps, alpha = _checked_p_values(p_values, alpha)
+    """Each hypothesis's step-down threshold ``alpha/(K - rank)``, input order.
+
+    ``alpha`` must lie strictly between 0 and 1 and every p-value in
+    [0, 1]; NaN fails both checks.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    ps = [float(p) for p in p_values]
+    if not all(0.0 <= p <= 1.0 for p in ps):
+        raise ValueError("p-values must lie in [0, 1]")
+    alpha = float(alpha)
     k = len(ps)
     order = sorted(range(k), key=lambda i: ps[i])
     thresholds = [0.0] * k

@@ -257,7 +257,7 @@ def run_benchmark(
                 if method == "none":
                     value = rss(noisy.samples, truth)
                 elif method == "lcdsc":
-                    report = cleaning.clean_decomposition(d, replace(config, emd=emd_cfg))
+                    report = cleaning.clean_decomposition(d, config)
                     value = rss(report.cleaned_signal, truth)
                 elif method in baselines.ORACLE_FAMILIES:
                     _, value = baselines.oracle_select(d, truth, method)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from lcdsc import (
     run_benchmark,
 )
 
-from lcdsc.changepoint import detect_changepoints
+from lcdsc.changepoint import Penalty, detect_changepoints
 from lcdsc.cleaning import _cycle_stride, _effective_count
 from lcdsc.inference import holm_bonferroni, holm_thresholds, sample_variance
 from lcdsc.spectral import instantaneous_amplitude
@@ -264,7 +265,8 @@ def parent_stages(d, config):
             changepoints.append(ChangePointSet((), 0.0))
             tables.append(())
             continue
-        cps = detect_changepoints(sampled, config.penalty, msl, config.penalty_scale)
+        cps = detect_changepoints(sampled, Penalty(config.penalty, config.beta), msl,
+                                  config.penalty_scale)
         full = ChangePointSet(tuple(int((t + 1) * stride - 1) for t in cps.taus), cps.total_cost)
         table = ()
         if cps.taus:
@@ -460,6 +462,38 @@ class TestConfigValidation:
         want = lcdsc_clean(noisy, LcdscConfig(emd=FAST_EMD, min_seg_len=5))
         assert got.changepoints == want.changepoints and got.decisions == want.decisions
         assert np.array_equal(got.cleaned_signal, want.cleaned_signal)
+
+    @pytest.mark.parametrize("penalty, beta", [("bic", 0.0), ("aic", 2.5), ("aic", 0.5)])
+    def test_each_penalty_kind_reaches_detection(self, penalty, beta):
+        n = 1200
+        rows = bursty_rows(np.random.default_rng(7), 3, n)
+        d = Decomposition(list(rows), np.zeros(n))
+        config = LcdscConfig(penalty=penalty, beta=beta)
+        report = clean_decomposition(d, config)
+        _, changepoints, decisions, _, _ = parent_stages(d, config)
+        assert [(c.taus, c.total_cost.hex()) for c in report.changepoints] == [
+            (c.taus, c.total_cost.hex()) for c in changepoints
+        ]
+        assert report.decisions == decisions and report.config.penalty == penalty
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"penalty": Penalty("bic")}, "unknown penalty kind"),
+        ({"penalty": "bogus"}, "unknown penalty kind 'bogus'"),
+        ({"beta": 5}, "beta applies only to the aic penalty"),
+        ({"penalty": "bic", "beta": 5}, "beta applies only to the aic penalty"),
+        ({"penalty": "aic"}, "aic penalty requires a finite beta > 0"),
+        ({"penalty": "aic", "beta": math.inf}, "aic penalty requires a finite beta > 0"),
+        ({"penalty": "aic", "beta": True}, "beta must be a real number, not bool"),
+        ({"emd": None}, "emd must be an EmdConfig, not NoneType"),
+        ({"emd": {"seed": 1}}, "emd must be an EmdConfig, not dict"),
+    ])
+    def test_penalty_and_emd_are_checked_when_the_config_is_built(self, settings, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LcdscConfig(**settings)
+
+    def test_beta_is_stored_as_a_plain_float(self):
+        config = LcdscConfig(penalty="aic", beta=np.float32(2.5))
+        assert type(config.beta) is float and config == LcdscConfig(penalty="aic", beta=2.5)
 
     @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
     def test_include_residual_is_stored_as_a_bool(self, value):

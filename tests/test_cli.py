@@ -854,8 +854,8 @@ class TestSettings:
         d = LcdscConfig()
         assert json.loads((out / "report.json").read_text())["config"] == {
             "emd": asdict(d.emd),
-            "penalty": d.penalty.kind,
-            "beta": d.penalty.beta,
+            "penalty": d.penalty,
+            "beta": d.beta,
             "min_seg_len": d.min_seg_len,
             "gamma": d.gamma,
             "alpha": d.alpha,
@@ -887,6 +887,14 @@ class TestSettings:
         assert run_cli(*common, "--out-dir", str(tmp_path / "aic"), "--penalty", "aic") == 0
         doc = json.loads((tmp_path / "aic" / "report.json").read_text())
         assert (doc["config"]["penalty"], doc["config"]["beta"]) == ("aic", 5.0)
+
+    def test_library_penalty_settings_reach_report_json(self, sim_dir, tmp_path):
+        config = LcdscConfig(emd=EmdConfig(ensemble_size=2), penalty="aic", beta=2.5)
+        cli._write_report_bundle(lcdsc_clean(ingest(str(sim_dir / "noisy.csv")), config),
+                                 str(tmp_path))
+        text = (tmp_path / "report.json").read_text()
+        assert '\n    "penalty": "aic",\n    "beta": 2.5,\n    "min_seg_len": 5,' in text
+        assert json.loads(text)["config"] == asdict(config)
 
 
 class TestSweepGamma:
