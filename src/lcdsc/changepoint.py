@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .emd import _as_1d_float, _finite_1d, _frozen, _integer, _real
+from .emd import _as_1d_float, _at_least, _finite_1d, _frozen, _integer, _positive, _real
 
 _PENALTY_KINDS = ("aic", "bic", "mbic")
 _BLOCK_CELLS = 1 << 16  # most (end, start) cells detection scores at once
@@ -200,12 +200,8 @@ def detect_changepoints(
         likelihood evidence relative to the nominal sample count.
     """
     x = _as_1d_float(series)
-    min_seg_len = _integer(min_seg_len, "min_seg_len")
-    if min_seg_len < 2:
-        raise ValueError("min_seg_len must be at least 2")
-    penalty_scale = _real(penalty_scale, "penalty_scale")
-    if not 0 < penalty_scale < math.inf:
-        raise ValueError("penalty_scale must be positive and finite")
+    min_seg_len = _at_least(min_seg_len, "min_seg_len", 2)
+    penalty_scale = _positive(penalty_scale, "penalty_scale")
     n = x.size
     if n < 2 * min_seg_len:
         raise ValueError("series too short: need at least 2*min_seg_len samples")

@@ -39,8 +39,10 @@ from .emd import (
     Decomposition,
     EmdConfig,
     _as_1d_float,
+    _at_least,
     _frozen,
-    _integer,
+    _one_worker,
+    _positive,
     _real,
     _zero_crossings,
     eemd,
@@ -84,18 +86,15 @@ class LcdscConfig:
         if not isinstance(self.emd, EmdConfig):
             raise ValueError(f"emd must be an EmdConfig, not {type(self.emd).__name__}")
         object.__setattr__(self, "beta", Penalty(self.penalty, self.beta).beta)
-        for name in ("gamma", "alpha", "penalty_scale"):
+        for name in ("gamma", "alpha"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         # each check is written so that NaN fails it
         if not 1 <= self.gamma < math.inf:
             raise ValueError("gamma must be at least 1 and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        object.__setattr__(self, "min_seg_len", _integer(self.min_seg_len, "min_seg_len"))
-        if self.min_seg_len < 2:
-            raise ValueError("min_seg_len must be at least 2")
-        if not 0 < self.penalty_scale < math.inf:
-            raise ValueError("penalty_scale must be positive and finite")
+        object.__setattr__(self, "min_seg_len", _at_least(self.min_seg_len, "min_seg_len", 2))
+        object.__setattr__(self, "penalty_scale", _positive(self.penalty_scale, "penalty_scale"))
         if not isinstance(self.include_residual, (bool, np.bool_)):  # "no" is truthy
             raise ValueError("include_residual must be a bool")
         object.__setattr__(self, "include_residual", bool(self.include_residual))
@@ -270,9 +269,7 @@ def lcdsc_clean(series, config: LcdscConfig | None = None, workers: int = 1) -> 
         Must be 1: the decomposition ensemble runs on the calling thread.
         The parameter stays only until the benchmark stops passing it.
     """
-    if workers != 1:
-        raise ValueError(f"workers must be 1, got {workers!r}: the ensemble runs on "
-                         "the calling thread")
+    _one_worker(workers)
     config = config or LcdscConfig()
     d = eemd(series, config.emd)
     return clean_decomposition(d, config)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .changepoint import _PENALTY_KINDS
 from .cleaning import CleaningReport, LcdscConfig, gamma_sweep, lcdsc_clean
-from .emd import _MIN_SAMPLES, Decomposition, EmdConfig, TimeSeries, eemd
+from .emd import _MIN_SAMPLES, Decomposition, EmdConfig, TimeSeries, _real, eemd
 from .simulation import (
     LocalSignalSpec,
     bench_table,
@@ -499,7 +499,7 @@ def _cmd_simulate(args) -> int:
              if args.kind not in kinds and getattr(args, dest) is not None]
     if stray:
         raise UsageError(f"simulate {args.kind} does not take {', '.join(stray)}")
-    sigma, seed = args.sigma, args.seed
+    sigma, seed = _real(args.sigma, "sigma"), args.seed
     meta: dict = {"kind": args.kind, "sigma": sigma, "seed": seed}
     if args.kind == "doppler":
         t_len = args.T if args.T is not None else 2500
@@ -509,8 +509,8 @@ def _cmd_simulate(args) -> int:
         meta["active"] = list(active)
     elif args.kind == "chirp":
         t_len = args.T if args.T is not None else 2500
-        f0 = args.f0 if args.f0 is not None else 0.01
-        f1 = args.f1 if args.f1 is not None else 0.1
+        f0 = _real(args.f0, "f0") if args.f0 is not None else 0.01
+        f1 = _real(args.f1, "f1") if args.f1 is not None else 0.1
         noisy = chirp(t_len, f0, f1, sigma, seed)
         truth = chirp(t_len, f0, f1, 0.0, seed).samples
         meta.update(f0=f0, f1=f1)

@@ -59,7 +59,34 @@ def _real(value, name: str) -> float:
     """``value`` as a plain Python float: ints and floats, NumPy's too, pass; bools do not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is no Real
         raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
-    return float(value)
+    return float(value) + 0.0  # a zero as +0.0: NumPy's normal rejects a scale of -0.0
+
+
+def _nonnegative(value, name: str) -> float:
+    value = _real(value, name)
+    if not 0 <= value < math.inf:  # NaN fails it
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return value
+
+
+def _positive(value, name: str) -> float:
+    value = _real(value, name)
+    if not 0 < value < math.inf:  # NaN fails it
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
+def _at_least(value, name: str, least: int) -> int:
+    value = _integer(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
+
+
+def _one_worker(workers) -> None:
+    if _integer(workers, "workers") != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}: the ensemble runs on "
+                         "the calling thread")
 
 
 def _seed_bits(seed) -> int:
@@ -80,13 +107,6 @@ def _finite_1d(values, name: str = "series") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("invalid samples: input contains non-finite values")
     return arr
-
-
-def _sample_interval(dt) -> float:
-    dt = _real(dt, "dt")
-    if not 0 < dt < math.inf:  # NaN fails it
-        raise ValueError("dt must be positive and finite")
-    return dt
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -116,7 +136,7 @@ class TimeSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _frozen_copy(_finite_1d(self.samples, "samples")))
-        object.__setattr__(self, "dt", _sample_interval(self.dt))
+        object.__setattr__(self, "dt", _positive(self.dt, "dt"))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -197,9 +217,8 @@ class EmdConfig:
                 object.__setattr__(self, name, _integer(getattr(self, name), name))
                 if getattr(self, name) < 1:
                     raise ValueError(f"{name} must be an integer of at least 1")
-        object.__setattr__(self, "noise_amplitude", _real(self.noise_amplitude, "noise_amplitude"))
-        if not 0 <= self.noise_amplitude < math.inf:
-            raise ValueError("noise_amplitude must be nonnegative and finite")
+        object.__setattr__(self, "noise_amplitude",
+                           _nonnegative(self.noise_amplitude, "noise_amplitude"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import fdtr
 
-from .emd import _as_1d_float, _integer, _real
+from .emd import _as_1d_float, _at_least, _integer, _nonnegative, _real
 
 _TINY = 1e-300
 _F_STAT_CAP = 1e308
@@ -93,13 +93,9 @@ def f_cdf(x: float, df1: int, df2: int) -> float:
 
 
 def _variance_and_length(pair, name: str, min_len: int = 1) -> tuple[float, int]:
-    """A checked ``(variance, length)`` pair; NaN fails the variance check."""
-    s2, length = float(pair[0]), _integer(pair[1], f"the {name} length")
-    if not 0 <= s2 < math.inf:
-        raise ValueError(f"the {name} variance must be finite and nonnegative")
-    if length < min_len:
-        raise ValueError(f"the {name} length must be at least {min_len}")
-    return s2, length
+    """A checked ``(variance, length)`` pair."""
+    return (_nonnegative(pair[0], f"the {name} variance"),
+            _at_least(pair[1], f"the {name} length", min_len))
 
 
 def f_test_segment(

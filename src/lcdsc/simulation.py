@@ -18,8 +18,8 @@ import numpy as np
 
 # called as module attributes, so the wrappers perfbench/tracing.py installs are called
 from . import baselines, cleaning
-from .emd import (TimeSeries, _as_1d_float, _integer, _MIN_SAMPLES, _real, _sample_interval,
-                  _seed_bits, eemd)
+from .emd import (TimeSeries, _as_1d_float, _at_least, _integer, _MIN_SAMPLES, _nonnegative,
+                  _one_worker, _positive, _real, _seed_bits, eemd)
 
 METHOD_NAMES = ("lcdsc", "khigh", "llow", "band", "powerset", "wht", "wit", "none")
 
@@ -40,9 +40,7 @@ class LocalSignalSpec:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 0 <= self.a_start < self.a_end < self.total_len:
             raise ValueError("active interval must satisfy 0 <= a_start < a_end < total_len")
-        object.__setattr__(self, "noise_sigma", _real(self.noise_sigma, "noise_sigma"))
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise_sigma must be finite and nonnegative")
+        object.__setattr__(self, "noise_sigma", _nonnegative(self.noise_sigma, "noise_sigma"))
 
 
 @dataclass(frozen=True)
@@ -74,11 +72,8 @@ def doppler(u):
 
 def _with_noise(signal: np.ndarray, sigma: float, seed: int, dt: float = 1.0) -> TimeSeries:
     """``signal`` plus white Gaussian noise of sd ``sigma``, drawn from ``seed``."""
-    sigma = _real(sigma, "sigma")
-    if not 0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and nonnegative")
-    noise = np.random.default_rng(_seed_bits(seed)).normal(0.0, sigma, signal.size)
-    return TimeSeries(signal + noise, dt)
+    rng = np.random.default_rng(_seed_bits(seed))
+    return TimeSeries(signal + rng.normal(0.0, _nonnegative(sigma, "sigma"), signal.size), dt)
 
 
 def local_doppler(spec: LocalSignalSpec) -> tuple[TimeSeries, np.ndarray, tuple[int, int]]:
@@ -98,7 +93,7 @@ def local_doppler(spec: LocalSignalSpec) -> tuple[TimeSeries, np.ndarray, tuple[
 
 def chirp(t_len: int, f0: float, f1: float, sigma: float = 0.0, seed: int = 0, dt: float = 1.0) -> TimeSeries:
     """Unit-amplitude linear chirp sweeping f0 to f1, plus white noise."""
-    dt = _sample_interval(dt)
+    dt = _positive(dt, "dt")
     t_len = _integer(t_len, "t_len")
     if t_len < 4:
         raise ValueError("chirp needs at least 4 samples")
@@ -178,11 +173,10 @@ def grid_spec(cell: tuple[int, float, float], seed: int = 0) -> LocalSignalSpec:
     Raises ``ValueError`` naming the key of a cell that cannot be run.
     """
     t_len, sigma, ratio = cell
-    t_len = _integer(t_len, "T")
+    t_len, sigma, ratio = _integer(t_len, "T"), _real(sigma, "sigma"), _real(ratio, "locality")
     if t_len < _MIN_SAMPLES:
         raise ValueError(f"T = {t_len}: the decomposition needs at least {_MIN_SAMPLES} samples")
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma = {sigma:g} must be finite and nonnegative")
+    _nonnegative(sigma, f"sigma = {sigma:g}")
     share = t_len * ratio / (1.0 + ratio) if ratio > 0 else 0.0  # nan or inf if ratio is huge
     length = int(round(share)) if math.isfinite(share) else 0
     if not 0 < length < t_len:
@@ -226,18 +220,15 @@ def run_benchmark(
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
         raise ValueError(f"repeated method name(s): {', '.join(repeated)}")
-    grid = [tuple(cell) for cell in grid]
+    # each cell as the library stores it, so a result's sigma is never -0.0
+    grid = [doppler_grid([t_len], [sigma], [ratio])[0] for t_len, sigma, ratio in grid]
     for cell in grid:
         grid_spec(cell)
     repeated = sorted({cell for cell in grid if grid.count(cell) > 1})
     if repeated:
         raise ValueError(f"repeated grid cell(s): {', '.join(map(str, repeated))}")
-    base_seed, replicates = _integer(base_seed, "base_seed"), _integer(replicates, "replicates")
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
-    if workers != 1:
-        raise ValueError(f"workers must be 1, got {workers!r}: the ensemble runs on "
-                         "the calling thread")
+    base_seed, replicates = _integer(base_seed, "base_seed"), _at_least(replicates, "replicates", 1)
+    _one_worker(workers)
     config = config or cleaning.LcdscConfig()
     thresholds = {"wht": baselines.wavelet_hard_threshold,
                   "wit": baselines.wavelet_interval_threshold}

@@ -495,6 +495,10 @@ class TestConfigValidation:
         config = LcdscConfig(penalty="aic", beta=np.float32(2.5))
         assert type(config.beta) is float and config == LcdscConfig(penalty="aic", beta=2.5)
 
+    @pytest.mark.parametrize("penalty", ["bic", "mbic"])
+    def test_negative_zero_beta_is_stored_as_zero(self, penalty):
+        assert math.copysign(1, LcdscConfig(penalty=penalty, beta=-0.0).beta) == 1
+
     @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
     def test_include_residual_is_stored_as_a_bool(self, value):
         config = LcdscConfig(include_residual=value)
@@ -512,6 +516,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="workers must be 1"):
             lcdsc_clean(noisy, LcdscConfig(emd=FAST_EMD), workers=workers)
         with pytest.raises(ValueError, match="workers must be 1"):
+            run_benchmark(["lcdsc"], [(600, 0.2, 0.25)], 1, 0, LcdscConfig(emd=FAST_EMD),
+                          workers=workers)
+
+    @pytest.mark.parametrize("workers", [True, np.True_])
+    def test_a_bool_is_no_worker_count(self, workers):
+        noisy, _, _ = local_doppler(LocalSignalSpec(600, 240, 360, 0.2, seed=3))
+        with pytest.raises(ValueError, match="workers must be an integer, not a bool"):
+            lcdsc_clean(noisy, LcdscConfig(emd=FAST_EMD), workers=workers)
+        with pytest.raises(ValueError, match="workers must be an integer, not a bool"):
             run_benchmark(["lcdsc"], [(600, 0.2, 0.25)], 1, 0, LcdscConfig(emd=FAST_EMD),
                           workers=workers)
 

@@ -639,6 +639,18 @@ class TestSimulate:
         assert args[1] in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("args", [
+        ("doppler", "--T", "300", "--sigma"),
+        ("chirp", "--T", "300", "--sigma"),
+        ("double", "--delta", "10", "--sigma"),
+        ("chirp", "--T", "300", "--f0"),
+    ], ids=lambda args: " ".join(args))
+    def test_negative_zero_writes_the_bytes_of_zero(self, tmp_path, args):
+        for zero in ("-0", "0"):
+            assert run_cli("simulate", *args, zero, "--out", str(tmp_path / zero)) == 0
+        for name in ("noisy.csv", "truth.csv", "meta.json"):
+            assert read(tmp_path / "-0" / name) == read(tmp_path / "0" / name), name
+
     def test_options_before_the_kind(self, tmp_path):
         assert run_cli("simulate", "--out", str(tmp_path / "s"), "--T", "300", "chirp") == 0
         assert len(ingest(str(tmp_path / "s" / "noisy.csv"))) == 300
@@ -685,6 +697,15 @@ class TestClean:
         assert names == sorted(os.listdir(tmp_path / "numpy")) and "report.json" in names
         for name in names:
             assert read(tmp_path / "numpy" / name) == read(tmp_path / "plain" / name), name
+
+    def test_negative_zero_noise_amplitude_writes_the_bundle_of_zero(self, sim_dir, tmp_path):
+        for zero in ("-0", "0"):
+            assert run_cli("clean", str(sim_dir / "noisy.csv"), "--out-dir", str(tmp_path / zero),
+                           "--ensemble-size", "2", "--seed", "5", "--noise-amplitude", zero) == 0
+        names = sorted(os.listdir(tmp_path / "0"))
+        assert names == sorted(os.listdir(tmp_path / "-0")) and "report.json" in names
+        for name in names:
+            assert read(tmp_path / "-0" / name) == read(tmp_path / "0" / name), name
 
     def test_imfs_are_numbered_by_position(self, sim_dir, tmp_path):
         """keep_subset, imfs.csv and report.json all read IMF j as d.imfs[j - 1]."""
@@ -1052,6 +1073,15 @@ class TestBench:
         err = capsys.readouterr().err
         assert key in err.split(str(grid), 1)[1], err
         assert not (tmp_path / "c.csv").exists()
+
+    def test_negative_zero_sigma_runs_as_zero(self, tmp_path):
+        for zero in ("-0", "0"):
+            grid = tmp_path / f"grid{zero}.cfg"
+            grid.write_text(f"T = 400\nsigma = {zero}\n")
+            assert run_cli("bench", "--grid", str(grid), "--methods", "none,lcdsc",
+                           "--replicates", "1", "--ensemble-size", "2",
+                           "--out", str(tmp_path / f"b{zero}.csv")) == 0
+        assert read(tmp_path / "b-0.csv") == read(tmp_path / "b0.csv")
 
     def test_unparsable_grid_value_is_usage_error(self, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"

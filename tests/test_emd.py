@@ -477,6 +477,13 @@ class TestEemd:
             with pytest.raises(OverflowError, match="sum of squared deviations overflows"):
                 eemd(x, cfg)
 
+    def test_negative_zero_noise_amplitude_is_zero(self):
+        # stored as +0.0: NumPy's normal rejects a scale of -0.0
+        x = np.random.default_rng(7).normal(0, 1, 300)
+        cfg = EmdConfig(ensemble_size=2, noise_amplitude=-0.0, seed=9)
+        assert str(cfg.noise_amplitude) == "0.0"
+        assert bitwise_equal(eemd(x, cfg), eemd(x, replace(cfg, noise_amplitude=0.0)))
+
     def test_noise_scale_overflow_is_named(self):
         x = np.random.default_rng(6).normal(0, 1, 100)
         with pytest.raises(OverflowError, match="noise scale .* overflows"):

@@ -211,8 +211,9 @@ class TestFTestSegment:
         ((1.0, 10), (float("nan"), 10), None, "during variance must be finite and nonnegative"),
         ((float("inf"), 10), (1.0, 10), None, "before variance must be finite and nonnegative"),
         (None, (1.0, 10), (-0.5, 10), "after variance must be finite and nonnegative"),
+        (("1.0", 5), (1.0, 10), None, "before variance must be a real number, not str"),
     ], ids=["fractional-length", "float-length", "empty-neighbor", "negative-variance",
-            "nan-variance", "infinite-variance", "negative-neighbor-variance"])
+            "nan-variance", "infinite-variance", "negative-neighbor-variance", "string-variance"])
     def test_bad_pairs_are_rejected(self, before, during, after, match):
         with pytest.raises(ValueError, match=match):
             f_test_segment(before, during, after, 1.0)

@@ -279,10 +279,19 @@ class TestRunBenchmark:
         (["none"], [(100.5, 0.2, 0.25)], "T must be an integer"),
         (["none"], [(100, -1.0, 0.25)], "sigma = -1 must be finite and nonnegative"),
         (["none"], [(100, float("nan"), 0.25)], "sigma = nan must be finite and nonnegative"),
-    ], ids=["no-method", "repeated-cell", "fractional-T", "negative-sigma", "nan-sigma"])
+        (["none"], [(64, "0.2", 0.25)], "sigma must be a real number, not str"),
+        (["none"], [(64, 0.2, "x")], "locality must be a real number, not str"),
+    ], ids=["no-method", "repeated-cell", "fractional-T", "negative-sigma", "nan-sigma",
+            "string-sigma", "string-locality"])
     def test_bad_arguments_rejected(self, methods, grid, match):
         with pytest.raises(ValueError, match=match):
             run_benchmark(methods, grid, 1, 0)
+
+    def test_negative_zero_sigma_cell_runs_as_zero(self):
+        config = LcdscConfig(emd=EmdConfig(ensemble_size=2))
+        a, b = (run_benchmark(["none", "lcdsc"], [(64, sigma, 0.25)], 1, 0, config)
+                for sigma in (-0.0, 0.0))
+        assert bench_table(a) == bench_table(b)
 
     def test_base_seed_must_be_an_integer(self, monkeypatch):
         calls = []
@@ -350,6 +359,16 @@ class TestRunBenchmark:
         )
         keys = [(r.t_len, r.sigma, r.param, r.method, r.replicate) for r in results]
         assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("make", [
+    lambda sigma: local_doppler(LocalSignalSpec(100, 20, 60, sigma, seed=1))[0],
+    lambda sigma: chirp(100, 0.01, 0.1, sigma, seed=1),
+    lambda sigma: double_doppler(10, sigma, seed=1)[0],
+], ids=["local_doppler", "chirp", "double_doppler"])
+def test_negative_zero_sigma_is_zero(make):
+    # stored as +0.0: NumPy's normal rejects a scale of -0.0
+    assert make(-0.0).samples.tobytes() == make(0.0).samples.tobytes()
 
 
 @pytest.mark.parametrize("call, match", [
