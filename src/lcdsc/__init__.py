@@ -9,7 +9,6 @@ from .baselines import (
 )
 from .changepoint import (
     ChangePointSet,
-    Penalty,
     SegStats,
     detect_changepoints,
     penalty_value,

@@ -26,23 +26,17 @@ _PENALTY_KINDS = ("aic", "bic", "mbic")
 _BLOCK_CELLS = 1 << 16  # most (end, start) cells detection scores at once
 
 
-@dataclass(frozen=True)
-class Penalty:
-    """Model-selection penalty: ``aic`` (``beta`` per change), ``bic``, or
-    ``mbic``; ``beta`` must stay 0 for the last two."""
-
-    kind: str
-    beta: float = 0.0
-
-    def __post_init__(self):
-        # each check is written so that NaN fails it
-        if self.kind not in _PENALTY_KINDS:
-            raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {_PENALTY_KINDS}")
-        object.__setattr__(self, "beta", _real(self.beta, "beta"))
-        if self.kind == "aic" and not 0 < self.beta < math.inf:
-            raise ValueError("aic penalty requires a finite beta > 0")
-        if self.kind != "aic" and not self.beta == 0:
-            raise ValueError("beta applies only to the aic penalty")
+def _penalty_beta(kind: str, beta) -> float:
+    """The checked ``beta`` of penalty ``kind``: finite and above 0 for aic, else 0."""
+    # each check is written so that NaN fails it
+    if kind not in _PENALTY_KINDS:
+        raise ValueError(f"unknown penalty kind {kind!r}; expected one of {_PENALTY_KINDS}")
+    beta = _real(beta, "beta")
+    if kind == "aic" and not 0 < beta < math.inf:
+        raise ValueError("aic penalty requires a finite beta > 0")
+    if kind != "aic" and not beta == 0:
+        raise ValueError("beta applies only to the aic penalty")
+    return beta
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,39 +102,40 @@ def segment_cost(stats: SegStats, i: int, j: int) -> float:
     return n_seg * math.log(max(var, stats.var_floor))
 
 
-def _change_charge(penalty: Penalty, m: int, n: int) -> float:
+def _change_charge(penalty: str, beta: float, m: int, n: int) -> float:
     """What ``m`` change points in ``n`` samples cost, before mbic's length term."""
-    if penalty.kind == "aic":
-        return penalty.beta * m
-    if penalty.kind == "bic":
+    if penalty == "aic":
+        return beta * m
+    if penalty == "bic":
         return m * math.log(n)
     return 3.0 * m * math.log(n)
 
 
-def penalty_value(penalty: Penalty, seg_lengths) -> float:
-    """Penalty term of a segmentation into ``m + 1`` segments of ``n`` samples in all.
+def penalty_value(penalty: str, seg_lengths, *, beta: float = 0.0) -> float:
+    """The penalty term of a segmentation into ``m + 1`` segments of ``n`` samples in all.
 
-    ``aic`` charges ``beta`` per change, ``bic`` ``log(n)`` per change, and
-    ``mbic`` ``3*log(n)`` per change plus ``log`` of every segment length
-    (the modified BIC of Zhang & Siegmund 2007, which also grades the
-    change locations).
+    ``penalty`` is the kind: ``aic`` charges ``beta`` per change, ``bic``
+    ``log(n)`` per change, and ``mbic`` ``3*log(n)`` per change plus
+    ``log`` of every segment length (the modified BIC of Zhang & Siegmund
+    2007, which also grades the change locations).
     """
+    beta = _penalty_beta(penalty, beta)
     lengths = [_integer(v, "a segment length") for v in seg_lengths]
     if not lengths or min(lengths) < 1:
         raise ValueError("segment lengths must be one or more integers of at least 1")
-    charge = _change_charge(penalty, len(lengths) - 1, sum(lengths))
-    if penalty.kind == "mbic":
+    charge = _change_charge(penalty, beta, len(lengths) - 1, sum(lengths))
+    if penalty == "mbic":
         charge += sum(math.log(length) for length in lengths)
     return charge
 
 
-def _objective(stats: SegStats, segments, penalty: Penalty, penalty_scale: float) -> float:
+def _objective(stats: SegStats, segments, penalty: str, beta: float, scale: float) -> float:
     """Canonical objective: the inclusive ``(start, end)`` segments' costs,
     added left to right, plus the penalty."""
     total = 0.0
     for i, j in segments:
         total += segment_cost(stats, i, j)
-    return total + penalty_scale * penalty_value(penalty, [j - i + 1 for i, j in segments])
+    return total + scale * penalty_value(penalty, [j - i + 1 for i, j in segments], beta=beta)
 
 
 def _taus_ending_at(prev: np.ndarray, s: int) -> tuple[int, ...]:
@@ -162,7 +157,7 @@ def _by_length(table: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def detect_changepoints(
-    series, penalty: Penalty, min_seg_len: int = 10, penalty_scale: float = 1.0
+    series, penalty: str, min_seg_len: int = 10, penalty_scale: float = 1.0, *, beta: float = 0.0
 ) -> ChangePointSet:
     """Minimizer of segment costs plus penalty over all segmentations.
 
@@ -189,8 +184,9 @@ def detect_changepoints(
     series : array_like
         Values to segment (for the cleaning pipeline, an instantaneous
         amplitude series).
-    penalty : Penalty
-        Per-change penalty controlling the number of detected changes.
+    penalty : str
+        The penalty kind, ``"aic"``, ``"bic"`` or ``"mbic"``, which
+        controls the number of detected changes.
     min_seg_len : int, optional
         Minimum samples per segment, at least 2 (default 10: variance
         estimates on shorter windows are too noisy).
@@ -198,7 +194,10 @@ def detect_changepoints(
         Multiplier on the penalty term (default 1.0).  Values above one
         compensate for serial correlation, which inflates the Gaussian
         likelihood evidence relative to the nominal sample count.
+    beta : float, optional
+        The per-change cost: finite and above 0 for ``aic``, 0 otherwise.
     """
+    beta = _penalty_beta(penalty, beta)
     x = _as_1d_float(series)
     min_seg_len = _at_least(min_seg_len, "min_seg_len", 2)
     penalty_scale = _positive(penalty_scale, "penalty_scale")
@@ -210,13 +209,13 @@ def detect_changepoints(
     pq = np.asarray(stats.prefix_sumsq)
     msl = min_seg_len
 
-    mbic = penalty.kind == "mbic"
-    per_change = _change_charge(penalty, 1, n) * penalty_scale
+    mbic = penalty == "mbic"
+    per_change = _change_charge(penalty, beta, 1, n) * penalty_scale
     # n // msl is at least the most changes n samples admit; mbic's length
     # terms total at most a third of this bound (3 log n per change against log n)
     most = n // msl
     if not math.isfinite(per_change * most):
-        raise OverflowError(f"{penalty.kind} penalty overflows: penalty_scale {penalty_scale:.3g} "
+        raise OverflowError(f"{penalty} penalty overflows: penalty_scale {penalty_scale:.3g} "
                             f"times its charge for up to {most} changes is not a finite float")
 
     # a last segment ending at t starts at 0 or msl..t-msl, so starts run up to
@@ -275,4 +274,5 @@ def detect_changepoints(
         t0 = t1 + 1
 
     found = ChangePointSet(_taus_ending_at(prev, int(prev[n])), math.nan)
-    return replace(found, total_cost=_objective(stats, found.segments(n), penalty, penalty_scale))
+    total_cost = _objective(stats, found.segments(n), penalty, beta, penalty_scale)
+    return replace(found, total_cost=total_cost)

@@ -29,12 +29,11 @@ for every gamma.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .changepoint import ChangePointSet, Penalty, detect_changepoints
+from .changepoint import ChangePointSet, _penalty_beta, detect_changepoints
 from .emd import (
     Decomposition,
     EmdConfig,
@@ -43,12 +42,13 @@ from .emd import (
     _frozen,
     _one_worker,
     _positive,
-    _real,
     _zero_crossings,
     eemd,
 )
 from .inference import (
     SegmentDecision,
+    _alpha,
+    _gamma,
     f_test_segment,
     holm_bonferroni,
     holm_thresholds,
@@ -63,7 +63,7 @@ class LcdscConfig:
 
     ``penalty`` is the change-point penalty kind (``"aic"``, ``"bic"`` or
     ``"mbic"``) and ``beta`` its per-change cost, above 0 for ``aic`` and 0
-    otherwise; both are checked as ``Penalty(penalty, beta)``.
+    otherwise; ``detect_changepoints`` takes both as they are stored here.
     ``min_seg_len`` counts per-cycle amplitude samples (oscillation
     cycles), so it is scale-free across components.  ``penalty_scale``
     inflates the change-point penalty to offset the residual serial
@@ -85,14 +85,9 @@ class LcdscConfig:
     def __post_init__(self):
         if not isinstance(self.emd, EmdConfig):
             raise ValueError(f"emd must be an EmdConfig, not {type(self.emd).__name__}")
-        object.__setattr__(self, "beta", Penalty(self.penalty, self.beta).beta)
-        for name in ("gamma", "alpha"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        # each check is written so that NaN fails it
-        if not 1 <= self.gamma < math.inf:
-            raise ValueError("gamma must be at least 1 and finite")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
+        object.__setattr__(self, "beta", _penalty_beta(self.penalty, self.beta))
+        object.__setattr__(self, "gamma", _gamma(self.gamma))
+        object.__setattr__(self, "alpha", _alpha(self.alpha))
         object.__setattr__(self, "min_seg_len", _at_least(self.min_seg_len, "min_seg_len", 2))
         object.__setattr__(self, "penalty_scale", _positive(self.penalty_scale, "penalty_scale"))
         if not isinstance(self.include_residual, (bool, np.bool_)):  # "no" is truthy
@@ -160,7 +155,6 @@ def _detect_stage(
     """
     n = d.residual.size
     msl = config.min_seg_len
-    penalty = Penalty(config.penalty, config.beta)
     diagnostics = list(d.diagnostics)
     detected = []
     empty = ChangePointSet((), 0.0)
@@ -177,7 +171,8 @@ def _detect_stage(
         # amplitude spikes at the series edges.  Here n > 3 * stride, so
         # one sample lies in each of those periods
         sampled[0], sampled[-1] = amp[stride], amp[n - stride - 1]
-        cps = detect_changepoints(sampled, penalty, msl, config.penalty_scale)
+        cps = detect_changepoints(sampled, config.penalty, msl, config.penalty_scale,
+                                  beta=config.beta)
         taus_full = tuple(int((tau + 1) * stride - 1) for tau in cps.taus)
         full_view = ChangePointSet(taus_full, cps.total_cost)
         segments = ()

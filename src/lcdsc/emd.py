@@ -211,12 +211,9 @@ class EmdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # counts are integers (numpy's too) of at least 1: floats, NaN among them, fail
         for name in ("s_number", "max_sift_iters", "max_imfs", "ensemble_size"):
             if name != "max_imfs" or self.max_imfs is not None:
-                object.__setattr__(self, name, _integer(getattr(self, name), name))
-                if getattr(self, name) < 1:
-                    raise ValueError(f"{name} must be an integer of at least 1")
+                object.__setattr__(self, name, _at_least(getattr(self, name), name, 1))
         object.__setattr__(self, "noise_amplitude",
                            _nonnegative(self.noise_amplitude, "noise_amplitude"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))

@@ -83,13 +83,25 @@ def f_cdf(x: float, df1: int, df2: int) -> float:
 
     The degrees of freedom are segment lengths: integers of at least 1.
     """
-    if _integer(df1, "df1") < 1 or _integer(df2, "df2") < 1:
-        raise ValueError("degrees of freedom must be at least 1")
-    if math.isnan(x):
-        raise ValueError("x is NaN")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    df1, df2 = _at_least(df1, "df1", 1), _at_least(df2, "df2", 1)
+    x = _real(x, "x")
+    if not x >= 0:  # NaN fails it
+        raise ValueError(f"x must be nonnegative, not {x}")
     return float(fdtr(df1, df2, x))
+
+
+def _gamma(value) -> float:
+    gamma = _real(value, "gamma")
+    if not 1 <= gamma < math.inf:  # NaN fails it
+        raise ValueError("gamma must be at least 1 and finite")
+    return gamma
+
+
+def _alpha(value) -> float:
+    alpha = _real(value, "alpha")
+    if not 0.0 < alpha < 1.0:  # NaN fails it
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    return alpha
 
 
 def _variance_and_length(pair, name: str, min_len: int = 1) -> tuple[float, int]:
@@ -119,9 +131,7 @@ def f_test_segment(
     """
     if before is None and after is None:
         raise ValueError("segment test needs at least one neighbor")
-    gamma = _real(gamma, "gamma")
-    if not 1 <= gamma < math.inf:
-        raise ValueError("gamma must be at least 1 and finite")
+    gamma = _gamma(gamma)
     s2_during, n_during = _variance_and_length(during, "during", 2)
     s2_before, n_before = _variance_and_length(before, "before") if before is not None else (None, None)
     s2_after, n_after = _variance_and_length(after, "after") if after is not None else (None, None)
@@ -172,12 +182,10 @@ def holm_thresholds(p_values, alpha: float = 0.05) -> list[float]:
     ``alpha`` must lie strictly between 0 and 1 and every p-value in
     [0, 1]; NaN fails both checks.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    alpha = _alpha(alpha)
     ps = [float(p) for p in p_values]
     if not all(0.0 <= p <= 1.0 for p in ps):
         raise ValueError("p-values must lie in [0, 1]")
-    alpha = float(alpha)
     k = len(ps)
     order = sorted(range(k), key=lambda i: ps[i])
     thresholds = [0.0] * k

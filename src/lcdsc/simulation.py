@@ -94,9 +94,7 @@ def local_doppler(spec: LocalSignalSpec) -> tuple[TimeSeries, np.ndarray, tuple[
 def chirp(t_len: int, f0: float, f1: float, sigma: float = 0.0, seed: int = 0, dt: float = 1.0) -> TimeSeries:
     """Unit-amplitude linear chirp sweeping f0 to f1, plus white noise."""
     dt = _positive(dt, "dt")
-    t_len = _integer(t_len, "t_len")
-    if t_len < 4:
-        raise ValueError("chirp needs at least 4 samples")
+    t_len = _at_least(t_len, "t_len", 4)
     f0, f1 = _real(f0, "f0"), _real(f1, "f1")
     if not (abs(f0) <= 0.5 / dt and abs(f1) <= 0.5 / dt):
         raise ValueError("chirp frequencies must be numbers within the Nyquist limit")
@@ -115,9 +113,7 @@ def double_doppler(
     length ``2000 + delta``.  Returns ``(noisy, truth, a1, a2)`` with the
     active windows as half-open ``(start, stop)`` pairs.
     """
-    delta = _integer(delta, "delta")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    delta = _at_least(delta, "delta", 0)
     n = 2000 + delta
     a1 = (500, 1000)
     a2 = (1000 + delta, 1500 + delta)
@@ -145,13 +141,14 @@ def separability_check(cleaned_imf, a1: tuple[int, int], a2: tuple[int, int]) ->
     between them and must be nonempty.
     """
     x = _as_1d_float(cleaned_imf, "cleaned_imf")
-    if not (a1[0] < a1[1] <= a2[0] < a2[1] <= x.size):
+    s1, e1, s2, e2 = (_integer(bound, "a window bound") for bound in (*a1, *a2))
+    if not (s1 < e1 <= s2 < e2 <= x.size):
         raise ValueError("windows must be ordered and inside the series")
-    if a2[0] == a1[1]:
+    if s2 == e1:
         raise ValueError("empty gap between the windows")
-    spike1 = bool(np.any(x[a1[0] : a1[1]] != 0))
-    spike2 = bool(np.any(x[a2[0] : a2[1]] != 0))
-    gap = x[a1[1] : a2[0]]
+    spike1 = bool(np.any(x[s1:e1] != 0))
+    spike2 = bool(np.any(x[s2:e2] != 0))
+    gap = x[e1:s2]
     return spike1 and spike2 and float(np.mean(gap == 0)) >= 0.5
 
 

@@ -20,7 +20,6 @@ from lcdsc import (
     EmdConfig,
     LcdscConfig,
     LocalSignalSpec,
-    Penalty,
     SegStats,
     detect_changepoints,
     f_cdf,
@@ -156,12 +155,12 @@ def test_criterion_04_changepoint_oracle_equivalence():
     checked = 0
     for seed in range(50):
         x = _alternating_instance(seed)
-        for penalty in (Penalty("bic"), Penalty("mbic")):
+        for penalty in ("bic", "mbic"):
             got = detect_changepoints(x, penalty, 3)
             assert len(got.taus) <= 3, f"seed {seed}: optimum exceeded the enumeration cap"
             want = _enumerate_best(x, penalty, 3)
-            assert got.taus == want[2], (seed, penalty.kind, got.taus, want[2])
-            assert got.total_cost == want[0], (seed, penalty.kind)
+            assert got.taus == want[2], (seed, penalty, got.taus, want[2])
+            assert got.total_cost == want[0], (seed, penalty)
             checked += 1
     elapsed = time.perf_counter() - start
     ok = checked == 100 and elapsed < 10.0

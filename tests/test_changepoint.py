@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdsc import ChangePointSet, Penalty, SegStats, detect_changepoints, penalty_value, segment_cost
+from lcdsc import ChangePointSet, LcdscConfig, SegStats, detect_changepoints, penalty_value, segment_cost
 from lcdsc import changepoint
 
 
@@ -35,7 +36,7 @@ def alternating_instance(seed):
     return x
 
 
-def enumerate_best(x, penalty, msl, max_m=3):
+def enumerate_best(x, penalty, msl, max_m=3, beta=0.0):
     """Brute-force minimum over every segmentation with at most max_m changes."""
     n = len(x)
     stats = SegStats.from_series(x)
@@ -48,14 +49,14 @@ def enumerate_best(x, penalty, msl, max_m=3):
             if any(length < msl for length in lengths):
                 continue
             total = sum(segment_cost(stats, s, e) for s, e in zip(starts, ends))
-            total += penalty_value(penalty, lengths)
+            total += penalty_value(penalty, lengths, beta=beta)
             key = (total, m, taus)
             if best is None or key < best:
                 best = key
     return best
 
 
-def unpruned_search(x, penalty, msl, penalty_scale=1.0):
+def unpruned_search(x, penalty, msl, penalty_scale=1.0, beta=0.0):
     """Optimal partitioning over every admissible start, carrying whole tau tuples.
 
     The same arithmetic as ``detect_changepoints`` without pruning or
@@ -64,7 +65,7 @@ def unpruned_search(x, penalty, msl, penalty_scale=1.0):
     n = len(x)
     stats = SegStats.from_series(x)
     ps, pq = stats.prefix_sum, stats.prefix_sumsq
-    per_change = {"aic": penalty.beta, "bic": math.log(n), "mbic": 3.0 * math.log(n)}[penalty.kind]
+    per_change = {"aic": beta, "bic": math.log(n), "mbic": 3.0 * math.log(n)}[penalty]
     per_change *= penalty_scale
     f_best, taus_of = {0: -per_change}, {0: ()}
     for t in range(msl, n + 1):
@@ -73,7 +74,7 @@ def unpruned_search(x, penalty, msl, penalty_scale=1.0):
         mean = (ps[t] - ps[starts]) / lengths
         var = np.maximum((pq[t] - pq[starts]) / lengths - mean * mean, stats.var_floor)
         costs = lengths * np.log(var)
-        if penalty.kind == "mbic":
+        if penalty == "mbic":
             costs += penalty_scale * np.log(lengths)
         vals = np.array([f_best[s] for s in starts]) + costs + per_change
         f_best[t] = float(vals.min())
@@ -167,49 +168,49 @@ class TestChangePointSet:
 
 class TestPenaltyValue:
     def test_no_change_baselines(self):
-        assert penalty_value(Penalty("aic", 2.0), [100]) == 0.0
-        assert penalty_value(Penalty("bic"), [100]) == 0.0
-        assert penalty_value(Penalty("mbic"), [100]) == pytest.approx(math.log(100))
+        assert penalty_value("aic", [100], beta=2.0) == 0.0
+        assert penalty_value("bic", [100]) == 0.0
+        assert penalty_value("mbic", [100]) == pytest.approx(math.log(100))
 
     def test_bic_formula(self):
-        assert penalty_value(Penalty("bic"), [30, 30, 40]) == pytest.approx(
+        assert penalty_value("bic", [30, 30, 40]) == pytest.approx(
             9.210340371976184
         )
 
     def test_mbic_formula(self):
         # hand evaluation: 3*log(100) + log(40) + log(60)
         want = 3 * math.log(100) + math.log(40) + math.log(60)
-        got = penalty_value(Penalty("mbic"), [40, 60])
+        got = penalty_value("mbic", [40, 60])
         assert got == pytest.approx(want)
         assert got == pytest.approx(21.598734574300313)
 
     def test_aic_scales_with_beta(self):
-        assert penalty_value(Penalty("aic", 2.5), [10, 10, 10, 20]) == pytest.approx(7.5)
+        assert penalty_value("aic", [10, 10, 10, 20], beta=2.5) == pytest.approx(7.5)
 
     def test_lengths_must_be_positive(self):
         for lengths in ([40, 0, 60], [-1, 101], []):
             with pytest.raises(ValueError, match="at least 1"):
-                penalty_value(Penalty("bic"), lengths)
+                penalty_value("bic", lengths)
 
     def test_lengths_must_be_integers(self):
         with pytest.raises(ValueError, match="segment length must be an integer"):
-            penalty_value(Penalty("mbic"), [40.5, 59.5])
+            penalty_value("mbic", [40.5, 59.5])
 
     def test_aic_requires_beta(self):
         with pytest.raises(ValueError, match="beta"):
-            Penalty("aic")
+            penalty_value("aic", [10, 10])
         for bad in (math.nan, math.inf, True, np.True_):
             with pytest.raises(ValueError, match="beta"):
-                Penalty("aic", bad)
+                penalty_value("aic", [10, 10], beta=bad)
         with pytest.raises(ValueError, match="unknown penalty"):
-            Penalty("bogus")
+            penalty_value("bogus", [10, 10])
 
     @pytest.mark.parametrize("kind", ["bic", "mbic"])
     @pytest.mark.parametrize("beta", [5.0, -1.0, math.nan, math.inf])
     def test_beta_applies_only_to_aic(self, kind, beta):
         with pytest.raises(ValueError, match="beta applies only to the aic penalty"):
-            Penalty(kind, beta)
-        assert Penalty(kind, 0.0) == Penalty(kind)
+            penalty_value(kind, [10, 10], beta=beta)
+        assert penalty_value(kind, [10, 10], beta=0.0) == penalty_value(kind, [10, 10])
 
 
 class TestDetect:
@@ -217,7 +218,7 @@ class TestDetect:
         empties = 0
         for seed in range(20):
             x = np.random.default_rng(seed).normal(0, 1, 400)
-            if not detect_changepoints(x, Penalty("mbic"), 10).taus:
+            if not detect_changepoints(x, "mbic", 10).taus:
                 empties += 1
         assert empties >= 18
 
@@ -228,7 +229,7 @@ class TestDetect:
                 np.random.default_rng([21, 1]).normal(0, math.sqrt(10), 100),
             ]
         )
-        got = detect_changepoints(x, Penalty("mbic"), 10)
+        got = detect_changepoints(x, "mbic", 10)
         assert len(got.taus) == 1
         assert 95 <= got.taus[0] <= 105
         # independent oracle: scan every admissible single split
@@ -238,7 +239,7 @@ class TestDetect:
             total = (
                 segment_cost(stats, 0, tau)
                 + segment_cost(stats, tau + 1, 199)
-                + penalty_value(Penalty("mbic"), [tau + 1, 199 - tau])
+                + penalty_value("mbic", [tau + 1, 199 - tau])
             )
             if best is None or total < best[0]:
                 best = (total, tau)
@@ -247,7 +248,7 @@ class TestDetect:
 
     def test_small_instance_matches_enumeration(self):
         x = alternating_instance(1)
-        for penalty in (Penalty("bic"), Penalty("mbic")):
+        for penalty in ("bic", "mbic"):
             got = detect_changepoints(x, penalty, 3)
             want = enumerate_best(x, penalty, 3)
             assert got.taus == want[2]
@@ -256,7 +257,7 @@ class TestDetect:
     def test_oracle_equivalence_over_seeds(self):
         for seed in range(10):
             x = alternating_instance(seed)
-            for penalty in (Penalty("bic"), Penalty("mbic")):
+            for penalty in ("bic", "mbic"):
                 got = detect_changepoints(x, penalty, 3)
                 assert len(got.taus) <= 3
                 want = enumerate_best(x, penalty, 3)
@@ -275,9 +276,9 @@ class TestDetect:
     def test_property_matches_enumeration(self, values, msl, kind, beta):
         # small integers force exact ties and constant runs at the variance floor
         x = np.array(values, dtype=float)
-        penalty = Penalty("aic", float(beta)) if kind == "aic" else Penalty(kind)
-        got = detect_changepoints(x, penalty, msl)
-        want = enumerate_best(x, penalty, msl)
+        beta = float(beta) if kind == "aic" else 0.0
+        got = detect_changepoints(x, kind, msl, beta=beta)
+        want = enumerate_best(x, kind, msl, beta=beta)
         # The search adds costs in another order than the enumeration, so splits
         # whose objectives differ only by rounding (|objective| < 3e4 here, so
         # far less than 1e-9) may be ranked either way.  A split with at most
@@ -306,9 +307,9 @@ class TestDetect:
         # min_seg_len sets the height of the blocks of ends, and n how full the last one is
         values, msl = values_msl
         x = np.array(values, dtype=float)
-        penalty = Penalty("aic", beta) if kind == "aic" else Penalty(kind)
-        got = detect_changepoints(x, penalty, msl, scale)
-        assert got.taus == unpruned_search(x, penalty, msl, scale)
+        beta = beta if kind == "aic" else 0.0
+        got = detect_changepoints(x, kind, msl, scale, beta=beta)
+        assert got.taus == unpruned_search(x, kind, msl, scale, beta=beta)
 
     def test_every_block_shape_matches_unpruned_search(self, monkeypatch):
         # ends are scored in blocks of min_seg_len rows unless a cell budget
@@ -321,23 +322,23 @@ class TestDetect:
             for msl in range(2, 13):
                 for n in range(2 * msl, 5 * msl + 1, 3):
                     for x in (rng.integers(-2, 3, n).astype(float), rng.normal(0, 1, n)):
-                        for penalty in (Penalty("bic"), Penalty("mbic"), Penalty("aic", 1.5)):
-                            got = detect_changepoints(x, penalty, msl, 2.0)
-                            assert got.taus == unpruned_search(x, penalty, msl, 2.0)
+                        for kind, beta in (("bic", 0.0), ("mbic", 0.0), ("aic", 1.5)):
+                            got = detect_changepoints(x, kind, msl, 2.0, beta=beta)
+                            assert got.taus == unpruned_search(x, kind, msl, 2.0, beta=beta)
 
     def test_exact_ties_follow_the_tie_rule(self):
         # periodic series tie exactly between splits with as many changes;
         # the earliest tied start is not the one the tie rule picks here
         cases = [
-            (([0.0, 2.0, -1.0] * 6)[:17], Penalty("aic", 0.5), (1, 3, 7, 9, 14)),
-            (([1.0, 0.0, -2.0] * 6)[:17], Penalty("aic", 0.5), (1, 5, 7, 12, 14)),
-            (([1.0, 2.0, 2.0, -2.0, 1.0] * 5)[:21], Penalty("bic"), (1, 3, 5, 7, 10, 12, 18)),
+            (([0.0, 2.0, -1.0] * 6)[:17], "aic", 0.5, (1, 3, 7, 9, 14)),
+            (([1.0, 0.0, -2.0] * 6)[:17], "aic", 0.5, (1, 5, 7, 12, 14)),
+            (([1.0, 2.0, 2.0, -2.0, 1.0] * 5)[:21], "bic", 0.0, (1, 3, 5, 7, 10, 12, 18)),
         ]
-        for values, penalty, want in cases:
+        for values, kind, beta, want in cases:
             x = np.array(values)
-            got = detect_changepoints(x, penalty, 2)
+            got = detect_changepoints(x, kind, 2, beta=beta)
             assert got.taus == want
-            assert got.taus == unpruned_search(x, penalty, 2)
+            assert got.taus == unpruned_search(x, kind, 2, beta=beta)
 
     def test_memory_does_not_grow_with_min_seg_len(self):
         # a block of min_seg_len ends would be 3 x 500 x 5002 floats (60 MB);
@@ -345,7 +346,7 @@ class TestDetect:
         x = np.random.default_rng(42).normal(0, 1, 6000)
         tracemalloc.start()
         try:
-            detect_changepoints(x, Penalty("mbic"), 500)
+            detect_changepoints(x, "mbic", 500)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -353,43 +354,43 @@ class TestDetect:
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
-            detect_changepoints(np.ones(15), Penalty("bic"), 10)
+            detect_changepoints(np.ones(15), "bic", 10)
         with pytest.raises(ValueError, match="min_seg_len"):
-            detect_changepoints(np.ones(15), Penalty("bic"), 1)
+            detect_changepoints(np.ones(15), "bic", 1)
         for bad in (2.5, math.nan, 3.0, True, np.True_):
             with pytest.raises(ValueError, match="min_seg_len must be an integer"):
-                detect_changepoints(np.ones(30), Penalty("bic"), bad)
+                detect_changepoints(np.ones(30), "bic", bad)
         for bad in (math.nan, math.inf, True, np.True_):
             with pytest.raises(ValueError, match="penalty_scale"):
-                detect_changepoints(np.ones(30), Penalty("bic"), 10, penalty_scale=bad)
+                detect_changepoints(np.ones(30), "bic", 10, penalty_scale=bad)
 
-    @pytest.mark.parametrize("penalty, scale", [
-        (Penalty("aic", 1e308), 2.0),
-        (Penalty("aic", 1e308), 1.0),
-        (Penalty("bic"), 1e308),
-        (Penalty("mbic"), 1e307),
+    @pytest.mark.parametrize("kind, beta, scale", [
+        ("aic", 1e308, 2.0),
+        ("aic", 1e308, 1.0),
+        ("bic", 0.0, 1e308),
+        ("mbic", 0.0, 1e307),
     ])
-    def test_overflowing_penalty_is_named(self, penalty, scale):
+    def test_overflowing_penalty_is_named(self, kind, beta, scale):
         x = alternating_instance(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match=f"{penalty.kind} penalty overflows"):
-                detect_changepoints(x, penalty, 5, scale)
+            with pytest.raises(OverflowError, match=f"{kind} penalty overflows"):
+                detect_changepoints(x, kind, 5, scale, beta=beta)
 
     def test_huge_finite_penalty_finds_no_changes(self):
         x = alternating_instance(3)
-        assert detect_changepoints(x, Penalty("aic", 1e300), 5).taus == ()
+        assert detect_changepoints(x, "aic", 5, beta=1e300).taus == ()
 
     @pytest.mark.parametrize("msl", [np.int16(5), np.int8(5)])
     def test_numpy_integer_min_seg_len_is_its_value(self, msl):
         # a NumPy scalar once took part in the block arithmetic and overflowed its type
         x = np.random.default_rng(6).normal(0, 1, 300) * np.repeat([1.0, 3.0, 1.0], 100)
-        plain = detect_changepoints(x, Penalty("mbic"), 5)
-        assert detect_changepoints(x, Penalty("mbic"), msl) == plain
+        plain = detect_changepoints(x, "mbic", 5)
+        assert detect_changepoints(x, "mbic", msl) == plain
 
     def test_segments_layout(self):
         x = alternating_instance(1)
-        cps = detect_changepoints(x, Penalty("mbic"), 3)
+        cps = detect_changepoints(x, "mbic", 3)
         segs = cps.segments(len(x))
         assert segs[0][0] == 0
         assert segs[-1][1] == len(x) - 1
@@ -401,8 +402,8 @@ class TestDetect:
 class TestInvariants:
     def test_shift_invariance(self):
         x = alternating_instance(4)
-        base = detect_changepoints(x, Penalty("mbic"), 3)
-        shifted = detect_changepoints(x + 42.0, Penalty("mbic"), 3)
+        base = detect_changepoints(x, "mbic", 3)
+        shifted = detect_changepoints(x + 42.0, "mbic", 3)
         assert base.taus == shifted.taus
 
     def test_scale_shifts_cost_but_not_taus(self):
@@ -411,16 +412,16 @@ class TestInvariants:
         stats_scaled = SegStats.from_series(2.0 * x)
         shift = segment_cost(stats_scaled, 0, 9) - segment_cost(stats, 0, 9)
         assert shift == pytest.approx(10 * 2 * math.log(2.0))
-        base = detect_changepoints(x, Penalty("mbic"), 3)
-        scaled = detect_changepoints(2.0 * x, Penalty("mbic"), 3)
+        base = detect_changepoints(x, "mbic", 3)
+        scaled = detect_changepoints(2.0 * x, "mbic", 3)
         assert base.taus == scaled.taus
 
     def test_larger_penalty_never_adds_changes(self):
         for seed in range(8):
             x = alternating_instance(seed)
             n = len(x)
-            small = detect_changepoints(x, Penalty("bic"), 3)
-            big = detect_changepoints(x, Penalty("aic", 2.5 * math.log(n)), 3)
+            small = detect_changepoints(x, "bic", 3)
+            big = detect_changepoints(x, "aic", 3, beta=2.5 * math.log(n))
             assert len(big.taus) <= len(small.taus)
 
     def test_penalty_scale_monotone(self):
@@ -430,15 +431,15 @@ class TestInvariants:
                 np.random.default_rng([31, 1]).normal(0, 3, 60),
             ]
         )
-        base = detect_changepoints(x, Penalty("bic"), 5)
-        assert detect_changepoints(x, Penalty("bic"), 5, penalty_scale=1.0).taus == base.taus
-        scaled = detect_changepoints(x, Penalty("bic"), 5, penalty_scale=4.0)
+        base = detect_changepoints(x, "bic", 5)
+        assert detect_changepoints(x, "bic", 5, penalty_scale=1.0).taus == base.taus
+        scaled = detect_changepoints(x, "bic", 5, penalty_scale=4.0)
         assert len(scaled.taus) <= len(base.taus)
 
     def test_pruning_disabled_on_floor_risk(self):
         # constant run forces the variance floor; result must still be exact
         x = np.concatenate([np.full(12, 1.0), alternating_instance(2)])
-        for penalty in (Penalty("bic"), Penalty("mbic")):
+        for penalty in ("bic", "mbic"):
             got = detect_changepoints(x, penalty, 3)
             want = enumerate_best(x, penalty, 3)
             if len(got.taus) <= 3:
@@ -453,3 +454,21 @@ class TestInvariants:
 def test_each_rejection_is_reached(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("kind, beta, message", [
+    ("bogus", 0.0, "unknown penalty kind 'bogus'"),
+    (None, 0.0, "unknown penalty kind None"),
+    ("aic", 0.0, "aic penalty requires a finite beta > 0"),
+    ("aic", math.nan, "aic penalty requires a finite beta > 0"),
+    ("mbic", 1.0, "beta applies only to the aic penalty"),
+    ("bic", "1", "beta must be a real number, not str"),
+])
+@pytest.mark.parametrize("call", [
+    lambda kind, beta: LcdscConfig(penalty=kind, beta=beta),
+    lambda kind, beta: detect_changepoints(np.ones(30), kind, 10, beta=beta),
+    lambda kind, beta: penalty_value(kind, [10, 20], beta=beta),
+], ids=["LcdscConfig", "detect_changepoints", "penalty_value"])
+def test_each_penalty_message_has_one_owner(call, kind, beta, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(kind, beta)

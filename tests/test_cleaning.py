@@ -23,7 +23,7 @@ from lcdsc import (
     run_benchmark,
 )
 
-from lcdsc.changepoint import Penalty, detect_changepoints
+from lcdsc.changepoint import detect_changepoints
 from lcdsc.cleaning import _cycle_stride, _effective_count
 from lcdsc.inference import holm_bonferroni, holm_thresholds, sample_variance
 from lcdsc.spectral import instantaneous_amplitude
@@ -265,8 +265,8 @@ def parent_stages(d, config):
             changepoints.append(ChangePointSet((), 0.0))
             tables.append(())
             continue
-        cps = detect_changepoints(sampled, Penalty(config.penalty, config.beta), msl,
-                                  config.penalty_scale)
+        cps = detect_changepoints(sampled, config.penalty, msl, config.penalty_scale,
+                                  beta=config.beta)
         full = ChangePointSet(tuple(int((t + 1) * stride - 1) for t in cps.taus), cps.total_cost)
         table = ()
         if cps.taus:
@@ -477,7 +477,7 @@ class TestConfigValidation:
         assert report.decisions == decisions and report.config.penalty == penalty
 
     @pytest.mark.parametrize("settings, message", [
-        ({"penalty": Penalty("bic")}, "unknown penalty kind"),
+        ({"penalty": None}, "unknown penalty kind None"),
         ({"penalty": "bogus"}, "unknown penalty kind 'bogus'"),
         ({"beta": 5}, "beta applies only to the aic penalty"),
         ({"penalty": "bic", "beta": 5}, "beta applies only to the aic penalty"),

@@ -675,10 +675,9 @@ class TestPackageNames:
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            EmdConfig(s_number=0)
-        with pytest.raises(ValueError):
-            EmdConfig(ensemble_size=0)
+        for name in ("s_number", "max_sift_iters", "max_imfs", "ensemble_size"):
+            with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+                EmdConfig(**{name: 0})
         with pytest.raises(ValueError):
             EmdConfig(noise_amplitude=-0.1)
         nan = float("nan")

@@ -135,8 +135,15 @@ class TestFCdf:
         assert f_cdf(0.5, np.int64(2), np.int64(3)) == f_cdf(0.5, 2, 3)
 
     def test_nan_x_is_named(self):
-        with pytest.raises(ValueError, match="x is NaN"):
+        with pytest.raises(ValueError, match="x must be nonnegative, not nan"):
             f_cdf(math.nan, 2, 3)
+
+    @pytest.mark.parametrize("x", ["0.5", True, np.True_, None])
+    def test_x_must_be_a_real_number(self, x):
+        # a bool was once read as 0 or 1, and a string raised TypeError
+        with pytest.raises(ValueError, match="x must be a real number"):
+            f_cdf(x, 2, 3)
+        assert f_cdf(np.float32(0.5), 2, 3) == f_cdf(0.5, 2, 3)
 
     @settings(deadline=None)
     @given(st.floats(0.0, 1e12), st.floats(0.0, 1e12), DF, DF)
@@ -291,6 +298,13 @@ class TestHolm:
             holm_bonferroni([0.1], 0.0)
         with pytest.raises(ValueError):
             holm_bonferroni([0.1], 1.0)
+
+    @pytest.mark.parametrize("holm", [holm_bonferroni, holm_thresholds])
+    def test_alpha_must_be_a_real_number(self, holm):
+        with pytest.raises(ValueError, match="alpha must be a real number, not str"):
+            holm([0.1], "0.05")
+        with pytest.raises(ValueError, match="alpha must be a real number, not bool"):
+            holm([0.1], True)
 
     @pytest.mark.parametrize("holm", [holm_bonferroni, holm_thresholds])
     @pytest.mark.parametrize("bad", [1.5, -0.01, float("nan"), float("inf")])

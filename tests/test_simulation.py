@@ -170,7 +170,7 @@ class TestDoubleDoppler:
         assert np.all(truth[~mask] == 0)
 
     def test_negative_delta(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="delta must be at least 0"):
             double_doppler(-1, 0.2)
 
     def test_delta_must_be_an_integer(self):
@@ -222,6 +222,10 @@ class TestSeparability:
 
     def test_dense_signal_fails(self):
         assert not separability_check(np.ones(2500), (500, 1000), (1500, 2000))
+
+    def test_numpy_integer_bounds_are_their_values(self):
+        _, truth, a1, a2 = double_doppler(500, 0.0, seed=0)
+        assert separability_check(truth, tuple(map(np.int64, a1)), tuple(map(np.int16, a2)))
 
     def test_empty_gap(self):
         with pytest.raises(ValueError, match="gap"):
@@ -372,14 +376,18 @@ def test_negative_zero_sigma_is_zero(make):
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: chirp(3, 0.01, 0.1), "chirp needs at least 4 samples"),
+    (lambda: chirp(3, 0.01, 0.1), "t_len must be at least 4"),
     (lambda: chirp(100, 0.01, 0.1, sigma=-1.0), "sigma must be finite and nonnegative"),
     (lambda: chirp(100, 0.01, 0.1, sigma=math.nan), "sigma must be finite and nonnegative"),
     (lambda: double_doppler(10, math.inf), "sigma must be finite and nonnegative"),
     (lambda: separability_check(np.zeros(100), (50, 40), (60, 80)), "windows must be ordered"),
     (lambda: separability_check(np.zeros(100), (10, 40), (60, 101)), "windows must be ordered"),
+    (lambda: separability_check(np.zeros(100), (10.5, 40), (60, 80)),
+     "window bound must be an integer"),
+    (lambda: separability_check(np.zeros(100), (True, 40), (60, 80)),
+     "window bound must be an integer, not a bool"),
 ], ids=["short-chirp", "negative-sigma", "nan-sigma", "infinite-sigma", "reversed-window",
-        "window-past-the-series"])
+        "window-past-the-series", "fractional-window-bound", "bool-window-bound"])
 def test_each_rejection_is_reached(call, match):
     with pytest.raises(ValueError, match=match):
         call()
